@@ -11,11 +11,9 @@
 //! the pruning and the kernel throughput independently of machine noise, and
 //! writes everything to `BENCH_engine.json` at the repository root.
 //!
-//! Two further sections land in the JSON: per-kernel linear-scan rows (each
+//! A further section lands in the JSON: per-kernel linear-scan rows (each
 //! supported `FTOA_KERNEL` choice forced in turn via `force_kernel`, so the
-//! scalar-vs-SIMD throughput difference is visible as `ns_per_candidate`)
-//! and the hybrid dense-routing threshold sweep (`FTOA_HYBRID_THRESHOLD`
-//! set per run), whose winner is what `DENSE_REGION_THRESHOLD` defaults to.
+//! scalar-vs-SIMD throughput difference is visible as `ns_per_candidate`).
 //!
 //! Setting `FTOA_BENCH_QUICK=1` (or passing `--quick`) shrinks the workload
 //! to a few thousand events so CI can *execute* the four-backend
@@ -24,7 +22,6 @@
 //! runs do not overwrite `BENCH_engine.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ftoa_core::engine::index::hybrid::{DENSE_REGION_THRESHOLD, HYBRID_THRESHOLD_ENV};
 use ftoa_core::engine::kernels::{force_kernel, KernelKind};
 use ftoa_core::{
     AlgorithmResult, BatchGreedy, IndexBackend, Instance, SimpleGreedy, SimulationEngine,
@@ -241,41 +238,6 @@ fn bench_candidate_index(c: &mut Criterion) {
         assert_eq!(scalar_gr.candidates, g.candidates, "{}: GR counter", kind.name());
     }
 
-    // Threshold sweep for the hybrid backend: `FTOA_HYBRID_THRESHOLD` is
-    // captured at index construction (each measured run constructs a fresh
-    // engine), so setting it between runs sweeps the dense-routing knob. Low
-    // values route almost everything to the grid; high values degenerate to
-    // the KD-tree. The winner is what `DENSE_REGION_THRESHOLD` should be.
-    let thresholds: [u32; 6] = [1, 2, 4, 16, 64, 256];
-    let sweep: Vec<(u32, Measured, Measured)> = thresholds
-        .iter()
-        .map(|&t| {
-            std::env::set_var(HYBRID_THRESHOLD_ENV, t.to_string());
-            let sg = run_greedy(IndexBackend::Hybrid);
-            let g = run_gr(IndexBackend::Hybrid);
-            (t, sg, g)
-        })
-        .collect();
-    std::env::remove_var(HYBRID_THRESHOLD_ENV);
-    for (t, sg, g) in &sweep {
-        assert_eq!(greedy[0].matching, sg.matching, "threshold {t}: SimpleGreedy matching");
-        assert_eq!(gr[0].matching, g.matching, "threshold {t}: GR matching");
-        println!(
-            "hybrid threshold {t:>2}: SimpleGreedy {:.3}s ({} candidates), GR {:.3}s \
-             ({} candidates)",
-            sg.seconds, sg.candidates, g.seconds, g.candidates,
-        );
-    }
-    let winner = sweep
-        .iter()
-        .min_by(|a, b| (a.1.seconds + a.2.seconds).total_cmp(&(b.1.seconds + b.2.seconds)))
-        .expect("non-empty sweep")
-        .0;
-    println!(
-        "hybrid threshold sweep winner: {winner} (compiled default DENSE_REGION_THRESHOLD = \
-         {DENSE_REGION_THRESHOLD})"
-    );
-
     if quick {
         // Quick (CI) runs exercise the comparison but keep the committed
         // full-scale numbers in BENCH_engine.json untouched.
@@ -319,34 +281,15 @@ fn bench_candidate_index(c: &mut Criterion) {
             scalar_gr.seconds / best_gr.seconds.max(1e-9),
         )
     };
-    let sweep_section = {
-        let rows: Vec<String> = sweep
-            .iter()
-            .map(|(t, sg, g)| {
-                format!(
-                    "      {{\"threshold\": {t}, \"simple_greedy\": {}, \"gr\": {}}}",
-                    entry(sg),
-                    entry(g)
-                )
-            })
-            .collect();
-        format!(
-            "{{\n    \"default\": {DENSE_REGION_THRESHOLD},\n    \"winner\": {winner},\n    \
-             \"rows\": [\n{}\n    ]\n  }}",
-            rows.join(",\n"),
-        )
-    };
     let json = format!(
         "{{\n  \"scenario\": {{\"workers\": {}, \"tasks\": {}, \"events\": {}, \"seed\": 2017}},\n  \
-         \"simple_greedy\": {},\n  \"gr\": {},\n  \"kernels\": {},\n  \
-         \"hybrid_threshold_sweep\": {}\n}}\n",
+         \"simple_greedy\": {},\n  \"gr\": {},\n  \"kernels\": {}\n}}\n",
         scenario.stream.num_workers(),
         scenario.stream.num_tasks(),
         scenario.stream.len(),
         section(&greedy),
         section(&gr),
         kernel_section,
-        sweep_section,
     );
     let out =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_engine.json");

@@ -8,26 +8,12 @@
 //! at the repository root. Before timing anything it asserts that the
 //! deterministic CSV renderings of the two runs are **byte-identical**: the
 //! ordered reduction makes parallelism observationally equivalent to the
-//! serial loop.
-//!
-//! The same matrix then runs region-sharded (`SuiteOptions::with_shards`,
-//! the engine-level partitioning behind the replay CLI's `--shards`): every
-//! shard count must render identical results — the cross-shard handoff
-//! commits in global event order, so sharding is observationally equivalent
-//! to the serial engine — and the full run records the shard-count sweep
-//! timings alongside the thread numbers. The `memory_mb` rows are excluded
-//! from the shard comparison: a sharded index genuinely allocates per-shard
-//! structures, so its footprint estimate differs by design (the replay
-//! metrics contract likewise treats memory as non-deterministic).
+//! serial loop. The speedup is recorded with the host's core count, not
+//! asserted: it depends on how many cores the host has for the fan-out.
 //!
 //! Setting `FTOA_BENCH_QUICK=1` (or passing `--quick`) shrinks the sweep so
-//! CI can execute the byte-equality check on every PR; quick runs skip the
-//! speedup assertion (CI runners have noisy, sometimes single-core
-//! parallelism) and do not overwrite `BENCH_parallel.json`. The full run
-//! asserts ≥ 2× speedup only when the machine actually has as many cores as
-//! the fan-out — on fewer cores there is nothing for the threads to run on,
-//! so the bench records the measured number (and the core count) without
-//! failing.
+//! CI can execute the byte-equality check on every PR; quick runs do not
+//! overwrite `BENCH_parallel.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::figures::fig5_scalability;
@@ -62,31 +48,6 @@ fn bench_parallel_sweep(c: &mut Criterion) {
         "parallel sweep output must be byte-identical to the serial run"
     );
 
-    // Region-shard sweep: rerun the serial matrix with the engine sharded
-    // 2 and 4 ways. The serial run above is the 1-shard baseline.
-    let run_sharded = |shards: usize| {
-        let opts = SuiteOptions::scalability().with_shards(shards);
-        let start = Instant::now();
-        let report = fig5_scalability(object_scale, &opts);
-        (start.elapsed().as_secs_f64(), report)
-    };
-    // Memory rows are footprint estimates and differ by design under
-    // sharding; every result row must be byte-identical.
-    let results_only = |csv: &str| {
-        csv.lines().filter(|l| !l.starts_with("memory_mb,")).collect::<Vec<_>>().join("\n")
-    };
-    let mut shard_seconds = vec![serial_seconds];
-    for shards in [2usize, 4] {
-        let (seconds, report) = run_sharded(shards);
-        assert_eq!(
-            results_only(&serial_report.to_csv_deterministic()),
-            results_only(&report.to_csv_deterministic()),
-            "sharded sweep results must be byte-identical to the serial run at {shards} shards"
-        );
-        shard_seconds.push(seconds);
-        println!("shard sweep: {shards} shards in {seconds:.3}s, results byte-identical");
-    }
-
     let speedup = serial_seconds / parallel_seconds.max(1e-9);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
@@ -96,31 +57,8 @@ fn bench_parallel_sweep(c: &mut Criterion) {
     );
 
     if quick {
-        println!("quick mode: skipping BENCH_parallel.json and the speedup assertion");
+        println!("quick mode: skipping BENCH_parallel.json");
         return;
-    }
-    // State the arming condition before deciding, so a log reader can tell a
-    // skipped assertion from a passed one at a glance.
-    let armed = cores >= threads;
-    println!(
-        "speedup assertion (>= 2x): {} — armed iff cores >= threads \
-         (this host: {cores} core(s) for {threads} threads)",
-        if armed { "ARMED" } else { "DISARMED" }
-    );
-    let note = if armed {
-        format!("speedup assertion armed: host had {cores} cores for {threads} threads")
-    } else {
-        format!(
-            "speedup assertion disarmed: host had {cores} core(s) for {threads} threads, \
-             so sub-1x speedup reflects scheduling overhead, not a regression"
-        )
-    };
-    if armed {
-        assert!(
-            speedup >= 2.0,
-            "expected at least 2x wall-clock speedup at {threads} threads on {cores} cores, \
-             measured {speedup:.2}x"
-        );
     }
 
     let json = format!(
@@ -128,12 +66,7 @@ fn bench_parallel_sweep(c: &mut Criterion) {
          \"threads\": {threads},\n  \"cores\": {cores},\n  \
          \"serial_seconds\": {serial_seconds:.6},\n  \
          \"parallel_seconds\": {parallel_seconds:.6},\n  \"speedup\": {speedup:.2},\n  \
-         \"outputs_byte_identical\": true,\n  \
-         \"shard_sweep\": {{\"shards\": [1, 2, 4], \"seconds\": [{s1:.6}, {s2:.6}, {s4:.6}], \
-         \"outputs_byte_identical\": true}},\n  \"note\": \"{note}\"\n}}\n",
-        s1 = shard_seconds[0],
-        s2 = shard_seconds[1],
-        s4 = shard_seconds[2],
+         \"outputs_byte_identical\": true\n}}\n"
     );
     let out =
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_parallel.json");

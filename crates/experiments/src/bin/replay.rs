@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! replay --trace traces/fixture_small.trace [--algo all|name[,name...]]
-//!        [--backend grid|linear|kd|hybrid] [--threads N] [--shards N]
+//!        [--backend grid|linear|kd|hybrid] [--threads N]
 //!        [--deterministic-only] [--out metrics.json]
 //! ```
 //!
@@ -13,7 +13,7 @@
 //! a flag missing its value or a flag given twice prints a diagnostic plus
 //! the usage line and exits with code 2 (`--algos` is not `--algo`; it is
 //! rejected, not silently ignored). Environment knobs are validated eagerly
-//! — an unparsable `FTOA_JOBS` or `FTOA_SHARDS` aborts the run with a
+//! — an unparsable `FTOA_KERNEL` or `FTOA_JOBS` aborts the run with a
 //! diagnostic before any work happens.
 //!
 //! Runs the selected algorithms (default: all five; the flow-backed batch
@@ -24,7 +24,8 @@
 //! `ftoa_core::ReplayDriver` (the single-policy library entry point) uses —
 //! and writes a `ftoa-replay-metrics v1` JSON document to `--out` (stdout if
 //! omitted). Replaying a v2 trace additionally reports each algorithm's
-//! `capacity_utilisation` against the stream's total worker capacity. `--threads N` fans the algorithm cells over N workers of the
+//! `capacity_utilisation` against the stream's total worker capacity.
+//! `--threads N` fans the algorithm cells over N workers of the
 //! deterministic `ftoa_runtime::JobPool` (default: `FTOA_JOBS` or the
 //! available hardware parallelism; the reduction is ordered, so the output
 //! is byte-identical at any setting). Note that concurrent cells contend
@@ -38,10 +39,8 @@
 //! environment variable (validated up front, reported in the header line)
 //! pins the distance-kernel implementation; the CI `kernel-dispatch` matrix
 //! replays the goldens under `scalar` and `auto` and requires identical
-//! bytes from both. `--shards N` (default: `FTOA_SHARDS` or 1) region-shards
-//! every engine run N ways — the deterministic cross-shard handoff keeps the
-//! output byte-identical to serial, and the CI golden gates replay both
-//! fixtures at `--shards 4` against the unchanged golden files to pin it.
+//! bytes from both. Each engine run itself is serial: the policies commit
+//! one event at a time, so parallelism stops at the algorithm cells.
 //!
 //! Capture mode:
 //!
@@ -63,7 +62,7 @@ use ftoa_runtime::JobPool;
 use workload::{presets, Scenario, TraceReader, TraceVersion, TraceWriter};
 
 const USAGE: &str = "usage: replay --trace <file> [--algo all|name,..] \
-                     [--backend grid|linear|kd|hybrid] [--threads N] [--shards N] \
+                     [--backend grid|linear|kd|hybrid] [--threads N] \
                      [--deterministic-only] [--out <file>]\n       \
                      replay --capture <fixture|fixture-weighted|hotspot|rush-hour|imbalance|synthetic> \
                      [--seed N] [--scale F] [--ratio R] --out <file>";
@@ -74,7 +73,6 @@ const VALUE_FLAGS: &[&str] = &[
     "--algo",
     "--backend",
     "--threads",
-    "--shards",
     "--out",
     "--capture",
     "--seed",
@@ -155,11 +153,10 @@ fn main() {
 
 fn run(cli: &Cli) -> Result<(), String> {
     // Validate every environment knob eagerly, whatever mode runs: a bad
-    // `FTOA_KERNEL`, `FTOA_JOBS` or `FTOA_SHARDS` must fail loudly here, not
+    // `FTOA_KERNEL` or `FTOA_JOBS` must fail loudly here, not
     // be silently ignored because the chosen path happens not to read it.
     let kernel = KernelKind::from_env()?;
     let jobs_override = ftoa_runtime::jobs_env_override()?;
-    let shards_override = ftoa_core::shards_from_env()?;
     if let Some(preset) = cli.value("--capture") {
         return capture(cli, preset);
     }
@@ -170,10 +167,6 @@ fn run(cli: &Cli) -> Result<(), String> {
     let deterministic_only = cli.deterministic_only;
     // 0 resolves to FTOA_JOBS / available parallelism inside the pool.
     let threads = JobPool::new(cli.parse_or("--threads", jobs_override.unwrap_or(0))?).threads();
-    let shards: usize = cli.parse_or("--shards", shards_override.unwrap_or(1))?;
-    if shards == 0 {
-        return Err("invalid value for --shards: `0` (must be a positive integer)".into());
-    }
 
     let trace = TraceReader::read_file(trace_path).map_err(|e| e.to_string())?;
     // On a weighted (v2) trace, report how much of the total worker capacity
@@ -182,8 +175,7 @@ fn run(cli: &Cli) -> Result<(), String> {
         .then(|| trace.stream.workers().iter().map(|w| u64::from(w.capacity)).sum());
     let scenario = trace.into_scenario();
     eprintln!(
-        "replaying {}: {} workers, {} tasks, {} events ({} backend, {} kernel, {} thread{}, \
-         {} shard{})",
+        "replaying {}: {} workers, {} tasks, {} events ({} backend, {} kernel, {} thread{})",
         trace_path,
         scenario.stream.num_workers(),
         scenario.stream.num_tasks(),
@@ -191,13 +183,10 @@ fn run(cli: &Cli) -> Result<(), String> {
         backend.name(),
         kernel.name(),
         threads,
-        if threads == 1 { "" } else { "s" },
-        shards,
-        if shards == 1 { "" } else { "s" }
+        if threads == 1 { "" } else { "s" }
     );
 
-    let opts =
-        SuiteOptions::default().with_backend(backend).with_threads(threads).with_shards(shards);
+    let opts = SuiteOptions::default().with_backend(backend).with_threads(threads);
     let results = ReplayConfig::new(&scenario).options(opts).algos(&algos).run();
     for r in &results {
         eprintln!(
@@ -217,8 +206,7 @@ fn run(cli: &Cli) -> Result<(), String> {
         scenario.stream.len(),
         threads,
         &results,
-    )
-    .with_shards(shards);
+    );
     if let Some(total) = total_capacity {
         metrics = metrics.with_total_capacity(total);
     }

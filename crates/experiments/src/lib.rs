@@ -27,6 +27,4 @@ pub mod table5;
 
 pub use metrics::{AlgorithmMetrics, ReplayMetrics};
 pub use report::SweepReport;
-#[allow(deprecated)]
-pub use runner::run_algorithms;
 pub use runner::{run_matrix, run_suite, Algo, ReplayConfig, SuiteOptions};

@@ -78,12 +78,6 @@ pub struct ReplayMetrics {
     /// timings and likewise omitted in deterministic-only mode, so golden
     /// files stay byte-identical at every thread count.
     pub threads: usize,
-    /// Region-shard count of every engine run. Execution metadata like
-    /// `threads` — sharded runs are byte-identical to serial, so the shard
-    /// count is reported only alongside the timings and omitted in
-    /// deterministic-only mode, keeping the golden files unchanged at every
-    /// shard count.
-    pub shards: usize,
     /// One entry per replayed algorithm, in run order.
     pub algorithms: Vec<AlgorithmMetrics>,
     /// Total worker capacity offered by the trace (`Σ capacity`), when the
@@ -111,16 +105,16 @@ impl ReplayMetrics {
             tasks,
             events,
             threads,
-            shards: 1,
             algorithms: results.iter().map(AlgorithmMetrics::from).collect(),
             total_capacity: None,
         }
     }
 
-    /// Record the engine region-shard count the replay ran with (execution
-    /// metadata, reported only in the non-deterministic rendering).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
+    /// Kept only so the benchmark package under `bench/` builds unchanged;
+    /// it goes with the next benchmark change. Every engine run is serial,
+    /// so the one accepted value is `1`, and nothing is stored.
+    pub fn with_shards(self, shards: usize) -> Self {
+        assert_eq!(shards, 1, "region sharding was removed");
         self
     }
 
@@ -148,7 +142,6 @@ impl ReplayMetrics {
         );
         if !deterministic_only {
             let _ = writeln!(out, "  \"threads\": {},", self.threads);
-            let _ = writeln!(out, "  \"shards\": {},", self.shards);
         }
         let _ = writeln!(out, "  \"algorithms\": [");
         for (i, a) in self.algorithms.iter().enumerate() {
@@ -244,13 +237,11 @@ mod tests {
         assert!(!json.contains("runtime_secs"));
         assert!(!json.contains("memory_bytes"));
         assert!(!json.contains("threads"), "thread count is execution metadata, not trace data");
-        assert!(!json.contains("shards"), "shard count is execution metadata, not trace data");
         assert!(!json.contains("capacity_utilisation"), "v1 documents carry no capacity");
         // Canonical: identical inputs render byte-identically, and the
         // thread count never leaks into the deterministic rendering.
         assert_eq!(json, metrics.to_json(true));
-        let serial = ReplayMetrics::new("traces/x.trace", "grid-index", 6, 5, 11, 1, &results)
-            .with_shards(4);
+        let serial = ReplayMetrics::new("traces/x.trace", "grid-index", 6, 5, 11, 1, &results);
         assert_eq!(json, serial.to_json(true));
     }
 
@@ -262,9 +253,6 @@ mod tests {
         assert!(json.contains("\"runtime_secs\": 0.017000"));
         assert!(json.contains("\"memory_bytes\": 4096"));
         assert!(json.contains("\"threads\": 4"));
-        assert!(json.contains("\"shards\": 1"), "unsharded runs report 1");
-        let sharded = metrics.with_shards(4).to_json(false);
-        assert!(sharded.contains("\"shards\": 4"));
     }
 
     #[test]

@@ -40,12 +40,6 @@ pub struct SuiteOptions {
     /// the exact worker count. Deterministic outputs are byte-identical at
     /// every setting.
     pub threads: usize,
-    /// Region-shard count of every engine run (see
-    /// [`ftoa_core::ShardedEngine`]): `1` (the default) runs the serial
-    /// engine, `n > 1` partitions each pool's candidate index into `n`
-    /// bucket-column stripes with deterministic cross-shard handoff.
-    /// Deterministic outputs are byte-identical at every setting.
-    pub shards: usize,
 }
 
 impl Default for SuiteOptions {
@@ -57,7 +51,6 @@ impl Default for SuiteOptions {
             strict_feasibility: true,
             index_backend: IndexBackend::Grid,
             threads: 1,
-            shards: 1,
         }
     }
 }
@@ -78,11 +71,6 @@ impl SuiteOptions {
     /// The same options with a different cell-fan-out concurrency.
     pub fn with_threads(self, threads: usize) -> Self {
         Self { threads, ..self }
-    }
-
-    /// The same options with a different engine region-shard count.
-    pub fn with_shards(self, shards: usize) -> Self {
-        Self { shards, ..self }
     }
 }
 
@@ -172,9 +160,7 @@ pub fn run_suite(scenario: &Scenario, opts: &SuiteOptions) -> Vec<AlgorithmResul
 }
 
 /// Builder for running a selection of algorithms over one scenario — the
-/// single-scenario entry point of the runner.
-///
-/// Replaces the positional `run_algorithms(scenario, opts, algos)` call:
+/// single-scenario entry point of the runner:
 ///
 /// ```ignore
 /// let results = ReplayConfig::new(&scenario)
@@ -220,9 +206,11 @@ impl<'a> ReplayConfig<'a> {
         self
     }
 
-    /// Set the engine region-shard count (see [`SuiteOptions::shards`]).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.opts.shards = shards;
+    /// Kept only so the benchmark package under `bench/` builds unchanged;
+    /// it goes with the next benchmark change. Every engine run is serial,
+    /// so the one accepted value is `1`, and nothing is stored.
+    pub fn shards(self, shards: usize) -> Self {
+        assert_eq!(shards, 1, "region sharding was removed");
         self
     }
 
@@ -239,16 +227,6 @@ impl<'a> ReplayConfig<'a> {
             .pop()
             .expect("one scenario in, one result row out")
     }
-}
-
-/// Run an explicit subset of the suite, in the order given.
-#[deprecated(note = "use `ReplayConfig::new(scenario).options(*opts).algos(algos).run()`")]
-pub fn run_algorithms(
-    scenario: &Scenario,
-    opts: &SuiteOptions,
-    algos: &[Algo],
-) -> Vec<AlgorithmResult> {
-    ReplayConfig::new(scenario).options(*opts).algos(algos).run()
 }
 
 /// Run every (scenario × algorithm) cell of a sweep matrix, fanned out
@@ -280,7 +258,7 @@ pub fn run_matrix(
             &scenario.predicted_workers,
             &scenario.predicted_tasks,
         );
-        let engine = SimulationEngine::new(opts.index_backend).with_shards(opts.shards.max(1));
+        let engine = SimulationEngine::new(opts.index_backend);
         match algo {
             Algo::SimpleGreedy => engine.run(&instance, &mut SimpleGreedy.policy()),
             Algo::Gr => engine.run(
@@ -424,28 +402,6 @@ mod tests {
         }
     }
 
-    /// Region-sharded suite runs reproduce the serial suite exactly on the
-    /// grid backend (the default, and the one the golden gates replay): the
-    /// sharded grid is an exact replica of the serial scan, so every
-    /// deterministic field — assignments, examined counters, memory — must
-    /// be identical at any shard count.
-    #[test]
-    fn sharded_suite_reproduces_the_serial_suite_exactly() {
-        let scenario = small_scenario();
-        let serial = run_suite(&scenario, &SuiteOptions::default());
-        for shards in [2, 4] {
-            let sharded = run_suite(&scenario, &SuiteOptions::default().with_shards(shards));
-            assert_eq!(serial.len(), sharded.len());
-            for (s, p) in serial.iter().zip(&sharded) {
-                assert_eq!(s.algorithm, p.algorithm, "order changed at shards={shards}");
-                assert_eq!(s.matching_size(), p.matching_size(), "{}", s.algorithm);
-                assert_eq!(s.assignments.pairs(), p.assignments.pairs(), "{}", s.algorithm);
-                assert_eq!(s.total_payoff, p.total_payoff, "{}", s.algorithm);
-                assert_eq!(s.stats, p.stats, "{}", s.algorithm);
-            }
-        }
-    }
-
     #[test]
     fn run_matrix_groups_cells_per_scenario_in_algo_order() {
         let scenarios = vec![small_scenario(), small_scenario()];
@@ -490,21 +446,6 @@ mod tests {
         let results = ReplayConfig::new(&scenario).run();
         let names: Vec<&str> = results.iter().map(|r| r.algorithm.as_str()).collect();
         assert_eq!(names, vec!["SimpleGreedy", "GR", "POLAR", "POLAR-OP", "OPT"]);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_run_algorithms_matches_the_builder() {
-        let scenario = small_scenario();
-        let algos = [Algo::Gr, Algo::SimpleGreedy];
-        let old = run_algorithms(&scenario, &SuiteOptions::default(), &algos);
-        let new = ReplayConfig::new(&scenario).algos(&algos).run();
-        assert_eq!(old.len(), new.len());
-        for (o, n) in old.iter().zip(&new) {
-            assert_eq!(o.algorithm, n.algorithm);
-            assert_eq!(o.matching_size(), n.matching_size());
-            assert_eq!(o.assignments.pairs(), n.assignments.pairs());
-        }
     }
 
     #[test]

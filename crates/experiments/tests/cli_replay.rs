@@ -3,10 +3,9 @@
 //! The CLI parses its arguments strictly: unknown flags, positional tokens,
 //! missing values and duplicated flags are usage errors (exit code 2 plus
 //! the usage line), while runtime failures — including unparsable
-//! `FTOA_JOBS` / `FTOA_SHARDS` environment knobs, validated eagerly — exit
-//! with code 1 and a diagnostic. These tests pin that contract, and the
-//! sharding tentpole invariant: `--shards N` produces byte-identical
-//! deterministic metrics at every N.
+//! `FTOA_JOBS` / `FTOA_KERNEL` environment knobs, validated eagerly — exit
+//! with code 1 and a diagnostic. These tests pin that contract, and that
+//! `--threads N` produces byte-identical deterministic metrics at every N.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -15,7 +14,7 @@ fn replay() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_replay"));
     // Run every invocation with a clean slate for the knobs under test so a
     // developer's ambient environment cannot flip the expected outcomes.
-    cmd.env_remove("FTOA_JOBS").env_remove("FTOA_SHARDS").env_remove("FTOA_KERNEL");
+    cmd.env_remove("FTOA_JOBS").env_remove("FTOA_KERNEL").env_remove("FTOA_HYBRID_THRESHOLD");
     cmd
 }
 
@@ -71,66 +70,54 @@ fn unparsable_jobs_env_is_a_hard_error() {
     assert!(err.contains("FTOA_JOBS") && err.contains("banana"), "got: {err}");
 }
 
+/// Output is byte-identical at any thread count, end to end through the
+/// binary: the algorithm cells fan out over the job pool, but each engine
+/// run is serial and the reduction is ordered.
 #[test]
-fn unparsable_shards_env_is_a_hard_error() {
-    for bad in ["nope", "0", "-2"] {
-        let out = replay()
-            .env("FTOA_SHARDS", bad)
-            .args(["--trace".as_ref(), fixture().as_os_str(), "--deterministic-only".as_ref()])
-            .output()
-            .unwrap();
-        assert_eq!(out.status.code(), Some(1), "FTOA_SHARDS={bad}: {}", stderr_of(&out));
-        assert!(stderr_of(&out).contains("FTOA_SHARDS"), "got: {}", stderr_of(&out));
-    }
-}
-
-#[test]
-fn zero_shards_on_the_flag_is_rejected() {
-    let out = replay()
-        .args(["--trace".as_ref(), fixture().as_os_str(), "--shards".as_ref(), "0".as_ref()])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
-    assert!(stderr_of(&out).contains("--shards"), "got: {}", stderr_of(&out));
-}
-
-/// The tentpole acceptance check, end to end through the binary: replaying
-/// the CI fixture at `--shards 4` emits deterministic metrics byte-identical
-/// to the serial `--shards 1` run.
-#[test]
-fn sharded_replay_is_byte_identical_to_serial() {
-    let run = |shards: &str| {
+fn threaded_replay_is_byte_identical_to_serial() {
+    let run = |threads: &str| {
         let out = replay()
             .args([
                 "--trace".as_ref(),
                 fixture().as_os_str(),
                 "--deterministic-only".as_ref(),
-                "--shards".as_ref(),
-                shards.as_ref(),
+                "--threads".as_ref(),
+                threads.as_ref(),
             ])
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(0), "shards {shards}: {}", stderr_of(&out));
+        assert_eq!(out.status.code(), Some(0), "threads {threads}: {}", stderr_of(&out));
+        assert!(stderr_of(&out).contains(&format!("{threads} thread")), "{}", stderr_of(&out));
         out.stdout
     };
     let serial = run("1");
-    let sharded = run("4");
     assert!(!serial.is_empty());
-    assert_eq!(serial, sharded, "sharded metrics must be byte-identical to serial");
-    assert!(stderr_contains_shards());
+    assert_eq!(serial, run("4"), "threaded metrics must be byte-identical to serial");
 }
 
-/// The stderr header names the shard count (execution metadata for humans).
-fn stderr_contains_shards() -> bool {
-    let out = replay()
-        .args([
-            "--trace".as_ref(),
-            fixture().as_os_str(),
-            "--deterministic-only".as_ref(),
-            "--shards".as_ref(),
-            "4".as_ref(),
-        ])
-        .output()
-        .unwrap();
-    stderr_of(&out).contains("4 shards")
+/// The hybrid backend reads no environment: a leftover threshold variable
+/// from older builds, which used to panic inside the index, changes nothing.
+#[test]
+fn hybrid_backend_ignores_a_stale_threshold_variable() {
+    let run = |env: Option<&str>| {
+        let mut cmd = replay();
+        if let Some(value) = env {
+            cmd.env("FTOA_HYBRID_THRESHOLD", value);
+        }
+        let out = cmd
+            .args([
+                "--trace".as_ref(),
+                fixture().as_os_str(),
+                "--backend".as_ref(),
+                "hybrid".as_ref(),
+                "--algo".as_ref(),
+                "simplegreedy,gr".as_ref(),
+                "--deterministic-only".as_ref(),
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr_of(&out));
+        out.stdout
+    };
+    assert_eq!(run(Some("banana")), run(None));
 }

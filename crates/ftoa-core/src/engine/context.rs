@@ -206,35 +206,10 @@ impl<'a> EngineContext<'a> {
     /// backend. The arenas pre-reserve room for the whole stream so the
     /// event loop runs without growing them. Only the driver constructs
     /// contexts.
-    /// Serial (unsharded) context — [`Self::new_sharded`] at one shard.
-    #[cfg(test)]
     pub(crate) fn new(
         config: &'a ProblemConfig,
         stream: &'a EventStream,
         backend: IndexBackend,
-        assignment_capacity: usize,
-    ) -> Self {
-        Self::new_sharded(
-            config,
-            stream,
-            backend,
-            1,
-            ftoa_runtime::JobPool::serial(),
-            assignment_capacity,
-        )
-    }
-
-    /// The pools are region-sharded `shards` ways (see
-    /// [`crate::engine::index::sharded`]); `shards <= 1` instantiates the
-    /// plain serial backend. The reported stats backend stays the underlying
-    /// backend's name — sharding is a parallelisation of the same structure,
-    /// not a different structure, and the golden metrics pin the name.
-    pub(crate) fn new_sharded(
-        config: &'a ProblemConfig,
-        stream: &'a EventStream,
-        backend: IndexBackend,
-        shards: usize,
-        pool: ftoa_runtime::JobPool,
         assignment_capacity: usize,
     ) -> Self {
         Self {
@@ -243,8 +218,8 @@ impl<'a> EngineContext<'a> {
             now: TimeStamp::ZERO,
             workers: ItemArena::with_capacity(stream.num_workers()),
             tasks: ItemArena::with_capacity(stream.num_tasks()),
-            worker_index: backend.build_sharded::<Worker>(config, shards, pool),
-            task_index: backend.build_sharded::<Task>(config, shards, pool),
+            worker_index: backend.build::<Worker>(config),
+            task_index: backend.build::<Task>(config),
             assignments: AssignmentSet::with_capacity(assignment_capacity),
             memory: MemoryTracker::new(),
             worker_expiry: BinaryHeap::with_capacity(stream.num_workers()),

@@ -48,24 +48,12 @@ pub trait OnlinePolicy {
 pub struct SimulationEngine {
     /// Candidate-index backend used for the active pools.
     pub backend: IndexBackend,
-    /// Region-shard count for the pools' candidate indexes (see
-    /// [`crate::engine::index::sharded`]). `0` and `1` both mean an
-    /// unsharded serial run; higher counts fan per-query candidate
-    /// collection over a [`ftoa_runtime::JobPool`] while keeping output
-    /// byte-identical to serial.
-    pub shards: usize,
 }
 
 impl SimulationEngine {
-    /// An engine using the given backend, unsharded.
+    /// An engine using the given backend.
     pub fn new(backend: IndexBackend) -> Self {
-        Self { backend, shards: 1 }
-    }
-
-    /// The same engine with the pools region-sharded `shards` ways.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
+        Self { backend }
     }
 
     /// Drive `policy` over the instance's arrival stream and assemble the
@@ -73,18 +61,10 @@ impl SimulationEngine {
     /// [`crate::result::EngineStats`]).
     pub fn run(&self, instance: &Instance<'_>, policy: &mut dyn OnlinePolicy) -> AlgorithmResult {
         let clock = Stopwatch::start();
-        let shards = self.shards.max(1);
-        let pool = if shards > 1 {
-            ftoa_runtime::JobPool::default()
-        } else {
-            ftoa_runtime::JobPool::serial()
-        };
-        let mut ctx = EngineContext::new_sharded(
+        let mut ctx = EngineContext::new(
             instance.config,
             instance.stream,
             self.backend,
-            shards,
-            pool,
             instance.num_workers().min(instance.num_tasks()),
         );
 

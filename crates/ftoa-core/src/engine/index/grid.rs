@@ -172,55 +172,6 @@ impl<T: SpatialItem> GridCandidateIndex<T> {
         (cx as usize, cy as usize)
     }
 
-    /// Shard-facing read access (see [`crate::engine::index::sharded`]): the
-    /// region-sharded grid backend replays the serial bucket walks over
-    /// bucket-column stripes owned by different sub-grids, so it needs each
-    /// sub-grid's geometry and raw bucket contents. Everything below is a
-    /// plain read — all examined accounting stays with the caller.
-    pub(crate) fn grid_dims(&self) -> (usize, usize) {
-        (self.nx, self.ny)
-    }
-
-    /// The smaller of the two cell extents (the ring-termination unit of
-    /// [`Self::nearest_within`]).
-    pub(crate) fn min_cell_extent(&self) -> f64 {
-        let cw = self.bounds.width() / self.nx as f64;
-        let ch = self.bounds.height() / self.ny as f64;
-        cw.min(ch)
-    }
-
-    /// Clamped bucket coordinates of a point (shared geometry, so any
-    /// sub-grid answers for the whole shard set).
-    pub(crate) fn coords_of(&self, x: f64, y: f64) -> (usize, usize) {
-        self.bucket_coords(x, y)
-    }
-
-    /// Number of live members across all buckets.
-    pub(crate) fn live_len(&self) -> usize {
-        self.len
-    }
-
-    /// The occupancy bitmap of one bucket row (bit `bx` set iff non-empty).
-    pub(crate) fn row_mask(&self, by: usize) -> u64 {
-        self.row_masks[by]
-    }
-
-    /// Member count of bucket `(bx, by)`.
-    pub(crate) fn bucket_len(&self, bx: usize, by: usize) -> usize {
-        self.buckets[by * self.nx + bx].len()
-    }
-
-    /// Members of bucket `(bx, by)` as `(x, y, slot)`, in the bucket's
-    /// logical (insertion-then-swap) order — the order every serial scan
-    /// sees them in.
-    pub(crate) fn bucket_members(
-        &self,
-        bx: usize,
-        by: usize,
-    ) -> impl Iterator<Item = (f64, f64, usize)> + '_ {
-        self.buckets[by * self.nx + bx].iter().map(|m| (m.x, m.y, m.slot as usize))
-    }
-
     /// Scan one bucket for the nearest query: count every member, keep the
     /// nearest in-radius feasible one (squared-distance domain, earliest
     /// member wins exact ties — the strict `<` improvement test below).

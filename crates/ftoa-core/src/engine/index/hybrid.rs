@@ -19,10 +19,9 @@
 //! reading the query point's own region matters: under skewed workloads
 //! (e.g. the hotspot scenarios) workers and tasks cluster in *different*
 //! places, so the point a query originates from says nothing about how many
-//! candidates the search will actually wade through. The threshold is
-//! captured once at construction ([`HYBRID_THRESHOLD_ENV`] overrides the
-//! default for bench sweeps) and compared against deterministic counters —
-//! no clocks, no sampling — so replays stay byte-identical.
+//! candidates the search will actually wade through. The threshold is a
+//! compile-time constant compared against deterministic counters — no
+//! clocks, no sampling — so replays stay byte-identical.
 
 use crate::engine::arena::ItemArena;
 use crate::engine::index::grid::GridCandidateIndex;
@@ -38,24 +37,14 @@ const REGIONS: usize = 8;
 /// A query whose search disk overlaps coarse regions holding at least this
 /// many live objects in total is routed to the grid; occupied-but-sparser
 /// disks go to the KD-tree, and provably empty disks short-circuit without
-/// searching at all. The default was picked by the threshold sweep recorded
-/// in `BENCH_engine.json` (regenerate with
-/// `cargo bench -p experiments --bench bench_candidate_index`): at `1`,
-/// every disk that provably holds a candidate goes to the grid's bucket
-/// sweeps and the win over the pure grid backend comes entirely from the
-/// emptiness short-circuit. Widening the KD-tree band costs more than it
-/// saves on the recorded scenario — each tree query pays the fresh-buffer
-/// scan and its share of epoch rebuilds to recover at most a handful of
-/// candidates — so the tree serves as the escape hatch for workloads with
-/// genuinely sparse occupied extents, reachable by raising the threshold
-/// through [`HYBRID_THRESHOLD_ENV`].
+/// searching at all. The value was picked by a threshold sweep on the
+/// 100k-event scalability scenario: at `1`, every disk that provably holds
+/// a candidate goes to the grid's bucket sweeps and the win over the pure
+/// grid backend comes entirely from the emptiness short-circuit. Widening
+/// the KD-tree band costs more than it saves on that scenario — each tree
+/// query pays the fresh-buffer scan and its share of epoch rebuilds to
+/// recover at most a handful of candidates.
 pub const DENSE_REGION_THRESHOLD: u32 = 1;
-
-/// Environment variable overriding [`DENSE_REGION_THRESHOLD`] per *created*
-/// index (read in [`HybridCandidateIndex::for_config`]): the bench harness
-/// sweeps it to record the routing curve. Deterministic per instance — the
-/// value is captured at construction, never re-read mid-run.
-pub const HYBRID_THRESHOLD_ENV: &str = "FTOA_HYBRID_THRESHOLD";
 
 /// Adaptive backend: a fully-maintained grid and KD-tree pair with per-query
 /// routing by coarse-region occupancy summed over the query disk.
@@ -63,30 +52,17 @@ pub struct HybridCandidateIndex<T> {
     grid: GridCandidateIndex<T>,
     kd: KdCandidateIndex<T>,
     bounds: BoundingBox,
-    /// The dense-routing threshold this instance compares against
-    /// ([`DENSE_REGION_THRESHOLD`] unless overridden at construction).
-    dense_threshold: u32,
     /// Live-object counts per coarse region, row-major `REGIONS`×`REGIONS`.
     region_counts: [u32; REGIONS * REGIONS],
 }
 
 impl<T: SpatialItem> HybridCandidateIndex<T> {
-    /// Create a pool over the problem's grid bounds. The routing threshold
-    /// is [`DENSE_REGION_THRESHOLD`], overridable through the
-    /// [`HYBRID_THRESHOLD_ENV`] environment variable (captured here, once;
-    /// an unparsable value panics rather than silently mis-routing a sweep).
+    /// Create a pool over the problem's grid bounds.
     pub fn for_config(config: &ProblemConfig) -> Self {
-        let dense_threshold = match std::env::var(HYBRID_THRESHOLD_ENV) {
-            Err(_) => DENSE_REGION_THRESHOLD,
-            Ok(raw) => raw
-                .parse()
-                .unwrap_or_else(|_| panic!("{HYBRID_THRESHOLD_ENV} must be a u32, got {raw:?}")),
-        };
         Self {
             grid: GridCandidateIndex::for_config(config),
             kd: KdCandidateIndex::new(),
             bounds: *config.grid.bounds(),
-            dense_threshold,
             region_counts: [0; REGIONS * REGIONS],
         }
     }
@@ -138,7 +114,7 @@ impl<T: SpatialItem> HybridCandidateIndex<T> {
         for ry in ry0..=ry1 {
             for rx in rx0..=rx1 {
                 live += self.region_counts[ry * REGIONS + rx];
-                if live >= self.dense_threshold {
+                if live >= DENSE_REGION_THRESHOLD {
                     return Route::Grid;
                 }
             }

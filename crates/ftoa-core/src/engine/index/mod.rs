@@ -30,17 +30,14 @@ pub mod grid;
 pub mod hybrid;
 pub mod kd;
 pub mod linear;
-pub mod sharded;
 
 pub use grid::GridCandidateIndex;
 pub use hybrid::HybridCandidateIndex;
 pub use kd::KdCandidateIndex;
 pub use linear::LinearScanIndex;
-pub use sharded::{ShardPlan, ShardedIndex};
 
 use crate::engine::arena::ItemArena;
 use crate::engine::item::SpatialItem;
-use ftoa_runtime::JobPool;
 use ftoa_types::{Candidate, Location, PoolHandle, ProblemConfig};
 
 /// An acceleration structure over one [`ItemArena`] answering the two
@@ -161,40 +158,6 @@ impl IndexBackend {
             IndexBackend::Hybrid => EngineIndex::Hybrid(HybridCandidateIndex::for_config(config)),
         }
     }
-
-    /// Instantiate the backend region-sharded `shards` ways, fanning the
-    /// collect phases of the two-phase handoff (see
-    /// [`sharded`](crate::engine::index::sharded)) over `pool`. `shards <= 1`
-    /// falls back to the plain serial backend — the sharded wrappers at one
-    /// shard are equivalent but carry pointless indirection.
-    pub(crate) fn build_sharded<T: SpatialItem>(
-        self,
-        config: &ProblemConfig,
-        shards: usize,
-        pool: JobPool,
-    ) -> EngineIndex<T> {
-        if shards <= 1 {
-            return self.build(config);
-        }
-        EngineIndex::Sharded(match self {
-            IndexBackend::LinearScan => {
-                ShardedIndex::Linear(sharded::ShardedLinearIndex::new(shards, pool))
-            }
-            IndexBackend::Grid => {
-                ShardedIndex::Grid(sharded::ShardedGridIndex::new(config, shards, pool))
-            }
-            IndexBackend::Kd => ShardedIndex::Kd(sharded::StripedIndex::new_with(
-                config,
-                shards,
-                KdCandidateIndex::new,
-            )),
-            IndexBackend::Hybrid => {
-                ShardedIndex::Hybrid(sharded::StripedIndex::new_with(config, shards, || {
-                    HybridCandidateIndex::for_config(config)
-                }))
-            }
-        })
-    }
 }
 
 /// The engine's monomorphised backend holder: one enum variant per backend,
@@ -212,10 +175,6 @@ pub enum EngineIndex<T> {
     Kd(KdCandidateIndex<T>),
     /// See [`HybridCandidateIndex`].
     Hybrid(HybridCandidateIndex<T>),
-    /// Region-sharded wrapper over any backend (see [`ShardedIndex`]);
-    /// built by [`IndexBackend`]'s crate-internal `build_sharded` when the
-    /// engine runs with more than one shard.
-    Sharded(ShardedIndex<T>),
 }
 
 macro_rules! dispatch {
@@ -225,7 +184,6 @@ macro_rules! dispatch {
             EngineIndex::Grid($idx) => $body,
             EngineIndex::Kd($idx) => $body,
             EngineIndex::Hybrid($idx) => $body,
-            EngineIndex::Sharded($idx) => $body,
         }
     };
 }
@@ -458,30 +416,46 @@ mod tests {
         }
     }
 
-    /// One (arena, index) pair per backend, serial *and* region-sharded —
-    /// the non-finite-radius contract below must hold for every query path.
-    fn pools_with_sharded() -> Vec<(String, ItemArena<Worker>, EngineIndex<Worker>)> {
-        let pool = ftoa_runtime::JobPool::serial();
+    /// [`pools`] labelled with each backend's name, for assertion messages.
+    fn named_pools() -> Vec<(&'static str, ItemArena<Worker>, EngineIndex<Worker>)> {
         IndexBackend::ALL
             .iter()
-            .flat_map(|b| {
-                [
-                    (b.name().to_string(), ItemArena::new(), b.build::<Worker>(&config())),
-                    (
-                        format!("{} (3 shards)", b.name()),
-                        ItemArena::new(),
-                        b.build_sharded::<Worker>(&config(), 3, pool),
-                    ),
-                ]
-            })
+            .zip(pools())
+            .map(|(b, (arena, idx))| (b.name(), arena, idx))
             .collect()
+    }
+
+    /// A zero radius admits exactly the co-located objects: `d² <= 0` holds
+    /// only at distance zero, so a worker a hair away is out of reach.
+    #[test]
+    fn zero_radius_finds_only_a_co_located_worker_on_every_backend() {
+        for (name, mut arena, mut idx) in named_pools() {
+            admit(&mut arena, &mut idx, worker(0, 3.0, 3.0, 0.0));
+            admit(&mut arena, &mut idx, worker(1, 3.0 + 1e-9, 3.0, 0.0));
+            admit(&mut arena, &mut idx, worker(2, 7.0, 7.0, 0.0));
+            let q = Location::new(3.0, 3.0);
+            let hit = idx.nearest_within(&arena, &q, 0.0, &mut |_| true).unwrap();
+            assert_eq!(arena.get(hit.handle).unwrap().id, WorkerId(0), "{name}");
+            assert_eq!(hit.dist_sq, 0.0, "{name}");
+            let mut found = Vec::new();
+            idx.for_each_within(&arena, &q, 0.0, &mut |c, w| {
+                assert_eq!(c.dist_sq, 0.0, "{name}");
+                found.push(w.id.index())
+            });
+            assert_eq!(found, vec![0], "{name}: only the co-located worker");
+            let off = Location::new(5.0, 5.0);
+            assert!(idx.nearest_within(&arena, &off, 0.0, &mut |_| true).is_none(), "{name}");
+            let mut none = Vec::new();
+            idx.for_each_within(&arena, &off, 0.0, &mut |_, w| none.push(w.id.index()));
+            assert!(none.is_empty(), "{name}: nobody sits at the query point: {none:?}");
+        }
     }
 
     /// An infinite radius is a full sweep: every backend must behave as if
     /// no radius bound were given at all.
     #[test]
     fn infinite_radius_sweeps_everything_on_every_backend() {
-        for (name, mut arena, mut idx) in pools_with_sharded() {
+        for (name, mut arena, mut idx) in named_pools() {
             for (i, (x, y)) in [(1.0, 1.0), (5.0, 5.0), (9.0, 2.0)].iter().enumerate() {
                 admit(&mut arena, &mut idx, worker(i, *x, *y, 0.0));
             }
@@ -508,7 +482,7 @@ mod tests {
     /// sub-index sweep instead of short-circuiting.
     #[test]
     fn nan_radius_is_empty_and_panic_free_on_every_backend() {
-        for (name, mut arena, mut idx) in pools_with_sharded() {
+        for (name, mut arena, mut idx) in named_pools() {
             for (i, (x, y)) in [(0.2, 0.1), (5.0, 5.0), (9.0, 2.0)].iter().enumerate() {
                 admit(&mut arena, &mut idx, worker(i, *x, *y, 0.0));
             }

@@ -7,13 +7,7 @@ use ftoa_types::{Location, Task, TimeStamp, Worker};
 /// three in its struct-of-arrays columns at admit time; the candidate
 /// indexes only ever read them back through the arena, and expiry is owned
 /// by the engine's priority queues ([`crate::engine::context::EngineContext`]).
-///
-/// `Send + Sync` is part of the contract because the region-sharded
-/// backends ([`crate::engine::index::sharded`]) fan their read-only
-/// candidate-collection phase over scoped threads, sharing `&ItemArena<T>`
-/// and per-shard sub-indexes across the fan-out. Items are plain `Copy`
-/// value types (workers and tasks), so the bounds are free.
-pub trait SpatialItem: Copy + Send + Sync {
+pub trait SpatialItem: Copy {
     /// Dense 0-based identifier (`WorkerId` / `TaskId` index).
     fn item_index(&self) -> usize;
     /// Where the object is (its appearance location).

@@ -38,12 +38,12 @@
 //! * [`driver`] — the [`driver::OnlinePolicy`] trait (an algorithm shrunk to a
 //!   handful of incremental callbacks) and the [`driver::SimulationEngine`] that
 //!   drives a policy over a stream and assembles the
-//!   [`crate::result::AlgorithmResult`];
-//! * [`shard`] — region-sharded engine runs: [`shard::ShardedEngine`]
-//!   partitions the pools' candidate indexes into bucket-column stripes
-//!   (`index::sharded`), fans candidate collection over a
-//!   [`ftoa_runtime::JobPool`], and commits in global event order so output
-//!   stays byte-identical to serial at any shard count.
+//!   [`crate::result::AlgorithmResult`].
+//!
+//! A run is serial by construction: every commit changes the pool the next
+//! query sees, so the engine decides one event at a time on one thread.
+//! Parallelism lives a level up, across independent runs (the experiment
+//! runner fans algorithms and sweep cells out over a job pool).
 //!
 //! The existing [`crate::algorithms::OnlineAlgorithm::run`] entry points are
 //! thin adapters that instantiate a policy and hand it to the engine, so all
@@ -59,4 +59,3 @@ pub mod driver;
 pub mod index;
 pub mod item;
 pub mod kernels;
-pub mod shard;

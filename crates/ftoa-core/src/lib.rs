@@ -20,7 +20,8 @@
 //!   candidate scans run through the batched distance kernels, and candidate
 //!   generation sits behind the [`engine::index::CandidateIndex`] trait (linear-scan
 //!   reference, grid-index, epoch-rebuild KD-tree, and an adaptive hybrid
-//!   that routes queries by local density).
+//!   that routes queries by local density). Each run is serial: one event
+//!   at a time on one thread, so output never depends on a thread count.
 //! * [`replay`] — the trace-replay entry point: derives realised
 //!   per-slot/per-cell counts from a recorded stream and drives any policy
 //!   over it through the unchanged engine.
@@ -47,10 +48,9 @@ pub use engine::context::{AssignmentDecision, EngineContext, MatchOutcome, PoolV
 pub use engine::driver::{OnlinePolicy, SimulationEngine};
 pub use engine::index::{
     CandidateIndex, EngineIndex, GridCandidateIndex, HybridCandidateIndex, IndexBackend,
-    KdCandidateIndex, LinearScanIndex, ShardPlan, ShardedIndex,
+    KdCandidateIndex, LinearScanIndex,
 };
 pub use engine::item::SpatialItem;
-pub use engine::shard::{shards_from_env, ShardedEngine, SHARDS_ENV_VAR};
 pub use guide::{GuideEngine, GuideNode, GuideObjective, OfflineGuide};
 pub use instance::Instance;
 pub use replay::{stream_counts, ReplayDriver, ReplayDriverBuilder};

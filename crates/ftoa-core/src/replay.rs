@@ -83,12 +83,6 @@ impl ReplayDriver {
         ReplayDriverBuilder { config, stream, backend: IndexBackend::default() }
     }
 
-    /// Prepare a replay of the stream with the given backend.
-    #[deprecated(note = "use `ReplayDriver::builder(config, stream).backend(..).build()`")]
-    pub fn new(backend: IndexBackend, config: &ProblemConfig, stream: &EventStream) -> Self {
-        Self::builder(config, stream).backend(backend).build()
-    }
-
     /// The instance a policy will be run against (stream + realised counts).
     pub fn instance<'a>(
         &'a self,
@@ -176,19 +170,5 @@ mod tests {
             assert_eq!(result.matching_size(), 1, "{backend:?}");
             assert_eq!(result.stats.events, 3);
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_positional_constructor_still_builds_the_same_driver() {
-        let cfg = config();
-        let s = stream();
-        let old = ReplayDriver::new(IndexBackend::Grid, &cfg, &s);
-        let new = ReplayDriver::builder(&cfg, &s).backend(IndexBackend::Grid).build();
-        assert_eq!(old.backend, new.backend);
-        assert_eq!(
-            old.run(&cfg, &s, &mut SimpleGreedy.policy()).matching_size(),
-            new.run(&cfg, &s, &mut SimpleGreedy.policy()).matching_size(),
-        );
     }
 }

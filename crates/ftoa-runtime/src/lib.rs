@@ -30,7 +30,7 @@
 //! **`FTOA_JOBS` contract**: unset or empty means automatic; a positive
 //! integer is an explicit cap; *anything else* — including `0`, negative
 //! numbers and non-numeric text — is a hard error, the same strictness
-//! `FTOA_KERNEL` and `FTOA_HYBRID_THRESHOLD` apply. A typo'd knob must
+//! `FTOA_KERNEL` applies. A typo'd knob must
 //! abort the run, not silently fall back to a thread count the user did not
 //! ask for. CLIs can surface the error eagerly (with their own exit code)
 //! through [`jobs_env_override`]; automatic pools reaching a bad value via
@@ -101,12 +101,6 @@ impl JobPool {
     /// calling thread (no threads are spawned).
     pub fn new(threads: usize) -> Self {
         Self { threads: if threads == 0 { available_jobs() } else { threads } }
-    }
-
-    /// A strictly serial pool (useful as a deterministic baseline in
-    /// speedup measurements and determinism tests).
-    pub fn serial() -> Self {
-        Self::new(1)
     }
 
     /// The concurrency this pool runs at.
@@ -206,7 +200,6 @@ mod tests {
     #[test]
     fn zero_threads_resolves_to_at_least_one() {
         assert!(JobPool::new(0).threads() >= 1);
-        assert_eq!(JobPool::serial().threads(), 1);
         assert_eq!(JobPool::new(7).threads(), 7);
     }
 

@@ -12,16 +12,12 @@
 //!   epoch-rebuild KD-tree backend and the adaptive hybrid agree on the
 //!   total utility of every algorithm, while the grid backend never
 //!   examines more candidates;
-//! * POLAR / POLAR-OP are index-independent, and every matching stays valid;
-//! * region-sharded engine runs reproduce serial runs for every policy on
-//!   every backend — exactly (assignments, payoff, examined counters) on the
-//!   linear and grid backends, whose shards replicate the serial scan.
+//! * POLAR / POLAR-OP are index-independent, and every matching stays valid.
 
-use ftoa::core_algorithms::algorithms::OptMode;
 use ftoa::core_algorithms::engine::kernels::{force_kernel, KernelKind};
 use ftoa::core_algorithms::{
-    BatchGreedy, BatchHungarian, BatchMaxFlow, IndexBackend, Instance, OfflineGuide, OnlinePolicy,
-    Opt, Polar, PolarOp, SimpleGreedy, SimulationEngine,
+    BatchGreedy, IndexBackend, Instance, OfflineGuide, Polar, PolarOp, SimpleGreedy,
+    SimulationEngine,
 };
 use ftoa::flow::BipartiteGraph;
 use ftoa::types::{Event, EventStream, ProblemConfig, Task, TimeDelta, TimeStamp, Worker};
@@ -306,71 +302,5 @@ proptest! {
                 scenario.config.velocity
             )
             .is_ok());
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// The sharding tentpole invariant: region-sharded engine runs reproduce
-    /// serial runs for all seven policies on all four backends. Linear and
-    /// grid shards are exact replicas of the serial scan — identical
-    /// assignments, payoff and examined counters. The striped kd/hybrid
-    /// backends are pinned at matching level: exact result sets, but
-    /// exact-distance ties may resolve by a different (still deterministic)
-    /// epoch order than the serial tree.
-    #[test]
-    fn sharded_runs_reproduce_serial_runs(
-        scenario in scenario_strategy(),
-        shards in 2usize..6,
-    ) {
-        let instance = instance_of(&scenario);
-        let guide = OfflineGuide::build(
-            &scenario.config,
-            &scenario.predicted_workers,
-            &scenario.predicted_tasks,
-        );
-        type PolicyCtor<'a> = Box<dyn Fn() -> Box<dyn OnlinePolicy + 'a> + 'a>;
-        let policies: Vec<(&str, PolicyCtor)> = vec![
-            ("SimpleGreedy", Box::new(|| Box::new(SimpleGreedy.policy()))),
-            ("GR", Box::new(|| Box::new(BatchGreedy::default().policy()))),
-            ("POLAR", Box::new(|| Box::new(Polar::default().policy(&instance, &guide)))),
-            ("POLAR-OP", Box::new(|| Box::new(PolarOp::default().policy(&instance, &guide)))),
-            ("OPT", Box::new(|| Box::new(Opt { mode: OptMode::Exact }.policy()))),
-            ("BATCH-MF", Box::new(|| Box::new(BatchMaxFlow { window_minutes: 3.0 }.policy()))),
-            ("BATCH-HUN", Box::new(|| Box::new(BatchHungarian { window_minutes: 3.0 }.policy()))),
-        ];
-        for backend in IndexBackend::ALL {
-            let serial_engine = SimulationEngine::new(backend);
-            let sharded_engine = SimulationEngine::new(backend).with_shards(shards);
-            for (name, make) in &policies {
-                let serial = serial_engine.run(&instance, &mut *make());
-                let sharded = sharded_engine.run(&instance, &mut *make());
-                prop_assert_eq!(
-                    serial.matching_size(), sharded.matching_size(),
-                    "{} on {:?} diverged at {} shards", name, backend, shards
-                );
-                prop_assert_eq!(
-                    serial.stats.backend, sharded.stats.backend,
-                    "sharding must not change the reported backend name"
-                );
-                if matches!(backend, IndexBackend::LinearScan | IndexBackend::Grid) {
-                    prop_assert_eq!(
-                        serial.assignments.pairs(), sharded.assignments.pairs(),
-                        "{} on {:?}: sharded assignments must replicate serial at {} shards",
-                        name, backend, shards
-                    );
-                    prop_assert_eq!(
-                        serial.total_payoff, sharded.total_payoff,
-                        "{} on {:?} payoff diverged at {} shards", name, backend, shards
-                    );
-                    prop_assert_eq!(
-                        serial.stats.candidates_examined, sharded.stats.candidates_examined,
-                        "{} on {:?}: sharded scan must replicate the serial scan at {} shards",
-                        name, backend, shards
-                    );
-                }
-            }
-        }
     }
 }
