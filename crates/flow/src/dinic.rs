@@ -4,8 +4,7 @@
 //! shape of the offline-guide and OPT instances; this is the default solver
 //! used by `ftoa-core` for large instances.
 
-use crate::network::{FlowNetwork, NodeId};
-use std::collections::VecDeque;
+use crate::network::{ArcId, FlowNetwork, NodeId};
 
 /// Compute the maximum flow from `source` to `sink` with Dinic's algorithm,
 /// mutating residual capacities in place. Returns the flow value.
@@ -14,39 +13,24 @@ pub fn dinic(net: &mut FlowNetwork, source: NodeId, sink: NodeId) -> i64 {
     if source == sink {
         return 0;
     }
+    net.lay_out();
     let n = net.num_nodes();
     let mut level = vec![-1i32; n];
-    let mut iter = vec![0usize; n];
+    // Current-arc pointer of each node within its arc range.
+    let mut next_arc: Vec<ArcId> = vec![0; n];
+    let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+    let mut path: Vec<ArcId> = Vec::new();
     let mut total = 0i64;
 
-    loop {
-        // Build the level graph with BFS.
-        for l in level.iter_mut() {
-            *l = -1;
-        }
-        level[source] = 0;
-        let mut queue = VecDeque::new();
-        queue.push_back(source);
-        while let Some(v) = queue.pop_front() {
-            for &e in net.edges_from(v) {
-                let to = net.edge_target(e);
-                if net.residual_capacity(e) > 0 && level[to] < 0 {
-                    level[to] = level[v] + 1;
-                    queue.push_back(to);
-                }
-            }
-        }
-        if level[sink] < 0 {
-            break;
-        }
-        for it in iter.iter_mut() {
-            *it = 0;
+    while build_levels(net, source, sink, &mut level, &mut queue) {
+        for (v, arc) in next_arc.iter_mut().enumerate() {
+            *arc = net.arcs(v).start;
         }
         // Repeatedly find augmenting paths in the level graph (blocking flow)
         // using an iterative DFS to avoid recursion-depth issues on the very
         // large scalability instances (|W| = |R| = 1M).
         loop {
-            let pushed = dfs_augment(net, source, sink, &level, &mut iter);
+            let pushed = dfs_augment(net, source, sink, &level, &mut next_arc, &mut path);
             if pushed == 0 {
                 break;
             }
@@ -56,38 +40,73 @@ pub fn dinic(net: &mut FlowNetwork, source: NodeId, sink: NodeId) -> i64 {
     total
 }
 
+/// Label every node with its BFS distance from `source` over arcs with
+/// residual capacity; returns whether `sink` is reachable. The search stops
+/// once the sink's level is complete: a node at or past that level never lies
+/// on a shortest augmenting path, so the DFS would only find it a dead end.
+fn build_levels(
+    net: &FlowNetwork,
+    source: NodeId,
+    sink: NodeId,
+    level: &mut [i32],
+    queue: &mut Vec<NodeId>,
+) -> bool {
+    level.fill(-1);
+    level[source] = 0;
+    queue.clear();
+    queue.push(source);
+    let mut head = 0;
+    while head < queue.len() {
+        let v = queue[head];
+        head += 1;
+        if level[sink] >= 0 && level[v] >= level[sink] {
+            break;
+        }
+        for a in net.arcs(v) {
+            let to = net.arc_head(a);
+            if level[to] < 0 && net.arc_residual(a) > 0 {
+                level[to] = level[v] + 1;
+                queue.push(to);
+            }
+        }
+    }
+    level[sink] >= 0
+}
+
 /// Iterative DFS that pushes one augmenting path worth of flow through the
-/// level graph. Returns the amount pushed (0 if no path exists).
+/// level graph. Returns the amount pushed (0 if no path exists). `path` is a
+/// reused buffer for the arcs of the current path.
 fn dfs_augment(
     net: &mut FlowNetwork,
     source: NodeId,
     sink: NodeId,
     level: &[i32],
-    iter: &mut [usize],
+    next_arc: &mut [ArcId],
+    path: &mut Vec<ArcId>,
 ) -> i64 {
-    // Stack of (node, edge taken to get here). The path is implicit in the stack.
-    let mut path: Vec<usize> = Vec::new(); // edge ids along the current path
+    path.clear();
     let mut current = source;
     loop {
         if current == sink {
             // Found a path; compute bottleneck and push.
-            let bottleneck = path.iter().map(|&e| net.residual_capacity(e)).min().unwrap_or(0);
-            for &e in &path {
-                net.push(e, bottleneck);
+            let bottleneck = path.iter().map(|&a| net.arc_residual(a)).min().unwrap_or(0);
+            for &a in path.iter() {
+                net.push(a, bottleneck);
             }
             return bottleneck;
         }
+        let end = net.arcs(current).end;
         let mut advanced = false;
-        while iter[current] < net.edges_from(current).len() {
-            let e = net.edges_from(current)[iter[current]];
-            let to = net.edge_target(e);
-            if net.residual_capacity(e) > 0 && level[to] == level[current] + 1 {
-                path.push(e);
+        while next_arc[current] < end {
+            let a = next_arc[current];
+            let to = net.arc_head(a);
+            if net.arc_residual(a) > 0 && level[to] == level[current] + 1 {
+                path.push(a);
                 current = to;
                 advanced = true;
                 break;
             }
-            iter[current] += 1;
+            next_arc[current] += 1;
         }
         if advanced {
             continue;
@@ -96,10 +115,10 @@ fn dfs_augment(
         if current == source {
             return 0;
         }
-        let e = path.pop().expect("non-source dead end has a parent edge");
-        let parent = net.edge_target(e ^ 1);
-        // Exhaust this edge at the parent so we do not retry it.
-        iter[parent] += 1;
+        let a = path.pop().expect("non-source dead end has a parent arc");
+        let parent = net.arc_head(net.arc_twin(a));
+        // Exhaust this arc at the parent so we do not retry it.
+        next_arc[parent] += 1;
         current = parent;
     }
 }

@@ -4,8 +4,7 @@
 //! guide generation). Complexity `O(V * E^2)` in general, `O(min(m, n) * E)`
 //! on unit-capacity bipartite instances (each augmentation adds one unit).
 
-use crate::network::{EdgeId, FlowNetwork, NodeId};
-use std::collections::VecDeque;
+use crate::network::{ArcId, FlowNetwork, NodeId};
 
 /// Compute the maximum flow from `source` to `sink`, mutating the residual
 /// capacities of `net` in place. Returns the value of the maximum flow.
@@ -14,28 +13,31 @@ pub fn edmonds_karp(net: &mut FlowNetwork, source: NodeId, sink: NodeId) -> i64 
     if source == sink {
         return 0;
     }
+    net.lay_out();
     let n = net.num_nodes();
     let mut total = 0i64;
-    // parent_edge[v] = edge used to reach v in the BFS tree.
-    let mut parent_edge: Vec<Option<EdgeId>> = vec![None; n];
+    // parent_arc[v] = arc used to reach v in the BFS tree.
+    let mut parent_arc: Vec<Option<ArcId>> = vec![None; n];
+    let mut queue: Vec<NodeId> = Vec::with_capacity(n);
     loop {
-        for p in parent_edge.iter_mut() {
-            *p = None;
-        }
-        // BFS over residual edges.
-        let mut queue = VecDeque::new();
-        queue.push_back(source);
+        parent_arc.fill(None);
+        // BFS over residual arcs.
+        queue.clear();
+        queue.push(source);
+        let mut head = 0;
         let mut reached_sink = false;
-        'bfs: while let Some(v) = queue.pop_front() {
-            for &e in net.edges_from(v) {
-                let to = net.edge_target(e);
-                if net.residual_capacity(e) > 0 && parent_edge[to].is_none() && to != source {
-                    parent_edge[to] = Some(e);
+        'bfs: while head < queue.len() {
+            let v = queue[head];
+            head += 1;
+            for a in net.arcs(v) {
+                let to = net.arc_head(a);
+                if net.arc_residual(a) > 0 && parent_arc[to].is_none() && to != source {
+                    parent_arc[to] = Some(a);
                     if to == sink {
                         reached_sink = true;
                         break 'bfs;
                     }
-                    queue.push_back(to);
+                    queue.push(to);
                 }
             }
         }
@@ -46,16 +48,16 @@ pub fn edmonds_karp(net: &mut FlowNetwork, source: NodeId, sink: NodeId) -> i64 
         let mut bottleneck = i64::MAX;
         let mut v = sink;
         while v != source {
-            let e = parent_edge[v].expect("path edge");
-            bottleneck = bottleneck.min(net.residual_capacity(e));
-            v = net.edge_target(e ^ 1);
+            let a = parent_arc[v].expect("path arc");
+            bottleneck = bottleneck.min(net.arc_residual(a));
+            v = net.arc_head(net.arc_twin(a));
         }
         // Augment.
         let mut v = sink;
         while v != source {
-            let e = parent_edge[v].expect("path edge");
-            net.push(e, bottleneck);
-            v = net.edge_target(e ^ 1);
+            let a = parent_arc[v].expect("path arc");
+            net.push(a, bottleneck);
+            v = net.arc_head(net.arc_twin(a));
         }
         total += bottleneck;
     }

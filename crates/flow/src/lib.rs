@@ -11,7 +11,14 @@
 //! This crate provides all of those building blocks, implemented from
 //! scratch:
 //!
-//! * [`FlowNetwork`] — a residual flow network with integer capacities.
+//! * [`FlowNetwork`] — a residual flow network with integer capacities,
+//!   stored in compressed sparse row form: the arcs leaving a node are
+//!   contiguous, in the order its edges were added, with a `u32` head, a
+//!   `u32` twin index and an `i64` residual capacity each (32 bytes per
+//!   edge, plus a 4-byte edge-to-arc map). A forward edge's flow is its
+//!   twin's residual, so no copy of the original capacities is kept. Edges
+//!   are appended to a pending list (16 bytes each) and laid out in one
+//!   counting-sort pass when a solver runs.
 //! * [`edmonds_karp`][mod@edmonds_karp] — BFS-based Ford–Fulkerson (the paper's reference
 //!   implementation).
 //! * [`dinic`][mod@dinic] — the asymptotically faster algorithm used by default for the

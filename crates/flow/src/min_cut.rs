@@ -7,7 +7,6 @@
 //! exposed for diagnostics (which guide nodes are saturated) and tests.
 
 use crate::network::{FlowNetwork, NodeId};
-use std::collections::VecDeque;
 
 /// A minimum s–t cut `(S, T)`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,21 +23,27 @@ pub struct MinCut {
 /// Extract the canonical minimum cut from a network on which a max-flow
 /// algorithm has already been run (i.e. whose residual capacities reflect a
 /// maximum flow).
+///
+/// # Panics
+/// Panics if edges were added after the last max-flow run.
 pub fn min_cut_from_residual(net: &FlowNetwork, source: NodeId) -> MinCut {
+    assert!(net.is_laid_out(), "run a max-flow solver before extracting the cut");
     let n = net.num_nodes();
     let mut reachable = vec![false; n];
     if n == 0 {
         return MinCut { in_source_side: reachable, capacity: 0, cut_edges: vec![] };
     }
     reachable[source] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(source);
-    while let Some(v) = queue.pop_front() {
-        for &e in net.edges_from(v) {
-            let to = net.edge_target(e);
-            if net.residual_capacity(e) > 0 && !reachable[to] {
+    let mut queue = vec![source];
+    let mut head = 0;
+    while head < queue.len() {
+        let v = queue[head];
+        head += 1;
+        for a in net.arcs(v) {
+            let to = net.arc_head(a);
+            if net.arc_residual(a) > 0 && !reachable[to] {
                 reachable[to] = true;
-                queue.push_back(to);
+                queue.push(to);
             }
         }
     }

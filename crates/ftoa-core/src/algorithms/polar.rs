@@ -25,11 +25,11 @@ use crate::engine::context::{AssignmentDecision, EngineContext};
 use crate::engine::driver::{OnlinePolicy, SimulationEngine};
 use crate::guide::{GuideEngine, GuideObjective, OfflineGuide};
 use crate::instance::Instance;
-use crate::memory::{map_bytes, vec_bytes};
+use crate::memory::vec_bytes;
 use crate::movement::WorkerPlan;
 use crate::result::AlgorithmResult;
 use ftoa_types::{Task, TimeStamp, TypeKey, Worker};
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// The POLAR algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,8 +60,8 @@ impl Polar {
             guide,
             worker_occupant: vec![None; guide.num_worker_nodes()],
             task_occupant: vec![None; guide.num_task_nodes()],
-            cursor_w: BTreeMap::new(),
-            cursor_r: BTreeMap::new(),
+            cursor_w: vec![0; guide.num_types()],
+            cursor_r: vec![0; guide.num_types()],
             plans: vec![None; instance.stream.num_workers()],
         }
     }
@@ -80,9 +80,9 @@ pub struct PolarPolicy<'g> {
     guide: &'g OfflineGuide,
     worker_occupant: Vec<Option<usize>>,
     task_occupant: Vec<Option<usize>>,
-    // Ordered maps: per-type state must never depend on hash order (tidy R2).
-    cursor_w: BTreeMap<TypeKey, usize>,
-    cursor_r: BTreeMap<TypeKey, usize>,
+    /// Per dense type index: how many of the type's nodes are occupied.
+    cursor_w: Vec<usize>,
+    cursor_r: Vec<usize>,
     plans: Vec<Option<WorkerPlan>>,
 }
 
@@ -121,14 +121,11 @@ impl OnlinePolicy for PolarPolicy<'_> {
         let now = ctx.now();
         let key = object_key(ctx.config, now, &w.location);
         let nodes = self.guide.worker_nodes_of_type(key);
-        let cur = self.cursor_w.entry(key).or_insert(0);
-        if *cur >= nodes.len() {
+        let Some(node) = occupy(&mut self.cursor_w, self.guide.type_index(key), nodes) else {
             // Prediction under-estimated this type: the worker is ignored by
             // POLAR (Algorithm 2, line 3 comment).
             return;
-        }
-        let node = nodes[*cur];
-        *cur += 1;
+        };
         self.worker_occupant[node] = Some(w.id.index());
         match self.guide.worker_nodes()[node].partner {
             None => {
@@ -158,12 +155,9 @@ impl OnlinePolicy for PolarPolicy<'_> {
         let now = ctx.now();
         let key = object_key(ctx.config, now, &r.location);
         let nodes = self.guide.task_nodes_of_type(key);
-        let cur = self.cursor_r.entry(key).or_insert(0);
-        if *cur >= nodes.len() {
+        let Some(node) = occupy(&mut self.cursor_r, self.guide.type_index(key), nodes) else {
             return;
-        }
-        let node = nodes[*cur];
-        *cur += 1;
+        };
         self.task_occupant[node] = Some(r.id.index());
         if let Some(w_node) = self.guide.task_nodes()[node].partner {
             if let Some(worker_idx) = self.worker_occupant[w_node] {
@@ -183,7 +177,7 @@ impl OnlinePolicy for PolarPolicy<'_> {
             self.guide.memory_bytes()
                 + vec_bytes::<Option<usize>>(self.worker_occupant.len() + self.task_occupant.len())
                 + vec_bytes::<Option<WorkerPlan>>(self.plans.len())
-                + map_bytes::<TypeKey, usize>(self.cursor_w.len() + self.cursor_r.len()),
+                + vec_bytes::<usize>(self.cursor_w.len() + self.cursor_r.len()),
         );
     }
 }
@@ -207,6 +201,18 @@ impl OnlineAlgorithm for Polar {
         result.preprocessing = preprocessing;
         result
     }
+}
+
+/// The next unoccupied node among a type's `nodes`, advancing the type's
+/// cursor, or `None` when every node of the type is occupied.
+fn occupy(cursors: &mut [usize], type_index: usize, nodes: Range<usize>) -> Option<usize> {
+    let cur = cursors.get_mut(type_index)?;
+    let node = nodes.start + *cur;
+    if node >= nodes.end {
+        return None;
+    }
+    *cur += 1;
+    Some(node)
 }
 
 /// The `(slot, cell)` type of a real object.

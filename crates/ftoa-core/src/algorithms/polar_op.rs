@@ -8,22 +8,25 @@
 //! ratio from `(1 − 1/e)² ≈ 0.40` to `≈ 0.47` (Lemma 3 / Theorem 2).
 //!
 //! As in [`super::polar::Polar`], real-world feasibility is verified at
-//! assignment time by default. Like POLAR, the policy is `O(1)` per arrival
-//! and never queries the engine's candidate indexes; the engine still owns
-//! stream iteration, timing and accounting.
+//! assignment time by default. Like POLAR, the policy never queries the
+//! engine's candidate indexes; the engine still owns stream iteration,
+//! timing and accounting. An arrival costs `O(1)` apart from scanning the
+//! one waiting list of its partner node: the node is picked from dense
+//! per-type tables, and the waiting totals behind `peak_waiting` are running
+//! counts, adjusted by exactly the entries each push or scan adds or drops.
 
 use crate::algorithms::polar::object_key;
 use crate::algorithms::OnlineAlgorithm;
 use crate::engine::clock::Stopwatch;
 use crate::engine::context::{AssignmentDecision, EngineContext};
 use crate::engine::driver::{OnlinePolicy, SimulationEngine};
-use crate::guide::{GuideEngine, GuideObjective, OfflineGuide};
+use crate::guide::{GuideEngine, GuideNode, GuideObjective, OfflineGuide};
 use crate::instance::Instance;
-use crate::memory::{map_bytes, vec_bytes};
+use crate::memory::vec_bytes;
 use crate::movement::WorkerPlan;
 use crate::result::AlgorithmResult;
-use ftoa_types::{Task, TypeKey, Worker};
-use std::collections::BTreeMap;
+use ftoa_types::{Task, Worker};
+use std::ops::Range;
 
 /// The POLAR-OP algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,29 +57,15 @@ impl PolarOp {
         instance: &Instance<'_>,
         guide: &'g OfflineGuide,
     ) -> PolarOpPolicy<'g> {
-        // Matched nodes per type (only nodes with a guide partner can ever
-        // produce an assignment; they are reused round-robin).
-        let mut matched_w_nodes: BTreeMap<TypeKey, Vec<usize>> = BTreeMap::new();
-        for (i, n) in guide.worker_nodes().iter().enumerate() {
-            if n.partner.is_some() {
-                matched_w_nodes.entry(n.key).or_default().push(i);
-            }
-        }
-        let mut matched_r_nodes: BTreeMap<TypeKey, Vec<usize>> = BTreeMap::new();
-        for (i, n) in guide.task_nodes().iter().enumerate() {
-            if n.partner.is_some() {
-                matched_r_nodes.entry(n.key).or_default().push(i);
-            }
-        }
         PolarOpPolicy {
             strict_feasibility: self.strict_feasibility,
             guide,
-            matched_w_nodes,
-            matched_r_nodes,
-            rr_w: BTreeMap::new(),
-            rr_r: BTreeMap::new(),
+            matched_w: MatchedNodes::new(guide, guide.worker_nodes()),
+            matched_r: MatchedNodes::new(guide, guide.task_nodes()),
             waiting_workers_at: vec![Vec::new(); guide.num_worker_nodes()],
             waiting_tasks_at: vec![Vec::new(); guide.num_task_nodes()],
+            waiting_workers: 0,
+            waiting_tasks: 0,
             plans: vec![None; instance.stream.num_workers()],
             peak_waiting: 0,
         }
@@ -92,14 +81,14 @@ impl PolarOp {
 pub struct PolarOpPolicy<'g> {
     strict_feasibility: bool,
     guide: &'g OfflineGuide,
-    // Ordered maps: per-type state must never depend on hash order (tidy R2).
-    matched_w_nodes: BTreeMap<TypeKey, Vec<usize>>,
-    matched_r_nodes: BTreeMap<TypeKey, Vec<usize>>,
-    rr_w: BTreeMap<TypeKey, usize>,
-    rr_r: BTreeMap<TypeKey, usize>,
+    matched_w: MatchedNodes,
+    matched_r: MatchedNodes,
     /// Unmatched real objects currently associated with each node.
     waiting_workers_at: Vec<Vec<usize>>,
     waiting_tasks_at: Vec<Vec<usize>>,
+    /// Running totals of the two waiting lists above.
+    waiting_workers: usize,
+    waiting_tasks: usize,
     plans: Vec<Option<WorkerPlan>>,
     peak_waiting: usize,
 }
@@ -113,7 +102,8 @@ impl OnlinePolicy for PolarOpPolicy<'_> {
         let now = ctx.now();
         let velocity = ctx.velocity();
         let key = object_key(ctx.config, now, &w.location);
-        let Some(node) = pick_node(&self.matched_w_nodes, &mut self.rr_w, key) else {
+        let nodes = self.guide.worker_nodes_of_type(key);
+        let Some(node) = self.matched_w.pick(self.guide.type_index(key), nodes) else {
             // No matched node of this type exists: the worker can never be
             // assigned through the guide; it waits in place (and, like in
             // POLAR, is effectively ignored).
@@ -126,8 +116,10 @@ impl OnlinePolicy for PolarOpPolicy<'_> {
         let strict = self.strict_feasibility;
         let assignments = ctx.assignments();
         let stream = ctx.stream;
+        let waiting = &mut self.waiting_tasks_at[r_node];
+        let before = waiting.len();
         let picked = take_first_feasible(
-            &mut self.waiting_tasks_at[r_node],
+            waiting,
             |&task_idx| {
                 let task = &stream.tasks()[task_idx];
                 !assignments.task_matched(task.id)
@@ -142,6 +134,7 @@ impl OnlinePolicy for PolarOpPolicy<'_> {
             },
             |&task_idx| stream.tasks()[task_idx].deadline() < now,
         );
+        self.waiting_tasks -= before - waiting.len();
         if let Some(task_idx) = picked {
             self.plans[w.id.index()] = Some(plan_here);
             ctx.commit(AssignmentDecision::new(w.id, stream.tasks()[task_idx].id));
@@ -151,7 +144,8 @@ impl OnlinePolicy for PolarOpPolicy<'_> {
             let target = ctx.config.grid.cell_center(target_key.cell);
             self.plans[w.id.index()] = Some(WorkerPlan::move_to(w, target, w.start, velocity));
             self.waiting_workers_at[node].push(w.id.index());
-            self.peak_waiting = self.peak_waiting.max(total_len(&self.waiting_workers_at));
+            self.waiting_workers += 1;
+            self.peak_waiting = self.peak_waiting.max(self.waiting_workers);
         }
     }
 
@@ -159,7 +153,8 @@ impl OnlinePolicy for PolarOpPolicy<'_> {
         let now = ctx.now();
         let velocity = ctx.velocity();
         let key = object_key(ctx.config, now, &r.location);
-        let Some(node) = pick_node(&self.matched_r_nodes, &mut self.rr_r, key) else {
+        let nodes = self.guide.task_nodes_of_type(key);
+        let Some(node) = self.matched_r.pick(self.guide.type_index(key), nodes) else {
             return;
         };
         let w_node = self.guide.task_nodes()[node].partner.expect("only matched nodes picked");
@@ -167,8 +162,10 @@ impl OnlinePolicy for PolarOpPolicy<'_> {
         let assignments = ctx.assignments();
         let stream = ctx.stream;
         let plans = &self.plans;
+        let waiting = &mut self.waiting_workers_at[w_node];
+        let before = waiting.len();
         let picked = take_first_feasible(
-            &mut self.waiting_workers_at[w_node],
+            waiting,
             |&worker_idx| {
                 let worker = &stream.workers()[worker_idx];
                 let plan = plans[worker_idx].unwrap_or(WorkerPlan::wait(worker));
@@ -184,11 +181,13 @@ impl OnlinePolicy for PolarOpPolicy<'_> {
             },
             |&worker_idx| stream.workers()[worker_idx].deadline() < now,
         );
+        self.waiting_workers -= before - waiting.len();
         if let Some(worker_idx) = picked {
             ctx.commit(AssignmentDecision::new(stream.workers()[worker_idx].id, r.id));
         } else {
             self.waiting_tasks_at[node].push(r.id.index());
-            self.peak_waiting = self.peak_waiting.max(total_len(&self.waiting_tasks_at));
+            self.waiting_tasks += 1;
+            self.peak_waiting = self.peak_waiting.max(self.waiting_tasks);
         }
     }
 
@@ -200,9 +199,8 @@ impl OnlinePolicy for PolarOpPolicy<'_> {
                 )
                 + vec_bytes::<usize>(self.peak_waiting)
                 + vec_bytes::<Option<WorkerPlan>>(self.plans.len())
-                + map_bytes::<TypeKey, Vec<usize>>(
-                    self.matched_w_nodes.len() + self.matched_r_nodes.len(),
-                ),
+                + self.matched_w.memory_bytes()
+                + self.matched_r.memory_bytes(),
         );
     }
 }
@@ -228,21 +226,40 @@ impl OnlineAlgorithm for PolarOp {
     }
 }
 
-/// Pick the next node of the given type in round-robin order, or `None` when
-/// the type has no matched node.
-fn pick_node(
-    nodes_by_type: &BTreeMap<TypeKey, Vec<usize>>,
-    cursors: &mut BTreeMap<TypeKey, usize>,
-    key: TypeKey,
-) -> Option<usize> {
-    let nodes = nodes_by_type.get(&key)?;
-    if nodes.is_empty() {
-        return None;
+/// One side's matched guide nodes, reused round-robin, per dense type index.
+struct MatchedNodes {
+    /// How many nodes of each type have a guide partner: the guide fills a
+    /// type's partners front to back, so these are a prefix of its range.
+    count: Vec<usize>,
+    /// Round-robin cursor of each type.
+    cursor: Vec<usize>,
+}
+
+impl MatchedNodes {
+    fn new(guide: &OfflineGuide, nodes: &[GuideNode]) -> Self {
+        let mut count = vec![0; guide.num_types()];
+        for node in nodes.iter().filter(|n| n.partner.is_some()) {
+            count[guide.type_index(node.key)] += 1;
+        }
+        Self { cursor: vec![0; count.len()], count }
     }
-    let cur = cursors.entry(key).or_insert(0);
-    let node = nodes[*cur % nodes.len()];
-    *cur = (*cur + 1) % nodes.len();
-    Some(node)
+
+    /// The next matched node of type `t`, whose nodes are `nodes`, in
+    /// round-robin order, or `None` when the type has no matched node.
+    fn pick(&mut self, t: usize, nodes: Range<usize>) -> Option<usize> {
+        let matched = *self.count.get(t)?;
+        if matched == 0 {
+            return None;
+        }
+        let cur = &mut self.cursor[t];
+        let node = nodes.start + *cur;
+        *cur = (*cur + 1) % matched;
+        Some(node)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        vec_bytes::<usize>(self.count.len() + self.cursor.len())
+    }
 }
 
 /// Remove and return the first element accepted by `feasible`, additionally
@@ -265,10 +282,6 @@ where
         i += 1;
     }
     None
-}
-
-fn total_len(lists: &[Vec<usize>]) -> usize {
-    lists.iter().map(Vec::len).sum()
 }
 
 #[cfg(test)]
@@ -368,6 +381,105 @@ mod tests {
         pt.set(0, 0, 0.0);
         let instance = Instance::new(&config, &stream, &pw, &pt);
         assert_eq!(PolarOp::default().run(&instance).matching_size(), 0);
+    }
+
+    fn total_len(lists: &[Vec<usize>]) -> usize {
+        lists.iter().map(Vec::len).sum()
+    }
+
+    /// Forwards every callback to a POLAR-OP policy and recounts its waiting
+    /// lists after each one.
+    struct Recount<'p, 'g> {
+        inner: &'p mut PolarOpPolicy<'g>,
+        /// The largest recounted total of either side after any event.
+        peak: usize,
+        events: usize,
+        /// Expired entries dropped from the worker / task lists by a scan.
+        dropped: (usize, usize),
+    }
+
+    impl Recount<'_, '_> {
+        /// Recount both sides and check the running counts against them.
+        fn check(&mut self) -> (usize, usize) {
+            let workers = total_len(&self.inner.waiting_workers_at);
+            let tasks = total_len(&self.inner.waiting_tasks_at);
+            assert_eq!(self.inner.waiting_workers, workers, "after event {}", self.events);
+            assert_eq!(self.inner.waiting_tasks, tasks, "after event {}", self.events);
+            self.peak = self.peak.max(workers).max(tasks);
+            self.events += 1;
+            (workers, tasks)
+        }
+    }
+
+    impl OnlinePolicy for Recount<'_, '_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn on_worker_arrival(&mut self, ctx: &mut EngineContext<'_>, w: &Worker) {
+            let tasks = total_len(&self.inner.waiting_tasks_at);
+            let matched = ctx.assignments().len();
+            self.inner.on_worker_arrival(ctx, w);
+            let picked = ctx.assignments().len() - matched;
+            self.dropped.1 += tasks - self.check().1 - picked;
+        }
+        fn on_task_arrival(&mut self, ctx: &mut EngineContext<'_>, r: &Task) {
+            let workers = total_len(&self.inner.waiting_workers_at);
+            let matched = ctx.assignments().len();
+            self.inner.on_task_arrival(ctx, r);
+            let picked = ctx.assignments().len() - matched;
+            self.dropped.0 += workers - self.check().0 - picked;
+        }
+        fn on_worker_expiry(&mut self, ctx: &mut EngineContext<'_>, w: &Worker) {
+            self.inner.on_worker_expiry(ctx, w);
+            self.check();
+        }
+        fn on_task_expiry(&mut self, ctx: &mut EngineContext<'_>, r: &Task) {
+            self.inner.on_task_expiry(ctx, r);
+            self.check();
+        }
+        fn on_finish(&mut self, ctx: &mut EngineContext<'_>) {
+            self.inner.on_finish(ctx);
+        }
+    }
+
+    #[test]
+    fn running_waiting_counts_equal_a_recount_after_every_event() {
+        let scenario = workload::SyntheticConfig {
+            num_workers: 3_000,
+            num_tasks: 3_000,
+            grid_n: 8,
+            num_slots: 24,
+            dr_slots: 1.0,
+            dw_slots: 0.5,
+            ..Default::default()
+        }
+        .generate(11)
+        .with_prediction_noise(0.6, 3);
+        let instance = Instance::new(
+            &scenario.config,
+            &scenario.stream,
+            &scenario.predicted_workers,
+            &scenario.predicted_tasks,
+        );
+        let guide = OfflineGuide::build(
+            &scenario.config,
+            &scenario.predicted_workers,
+            &scenario.predicted_tasks,
+        );
+        let mut policy = PolarOp::default().policy(&instance, &guide);
+        let mut recount = Recount { inner: &mut policy, peak: 0, events: 0, dropped: (0, 0) };
+        let result = SimulationEngine::default().run(&instance, &mut recount);
+        let (peak, events, dropped) = (recount.peak, recount.events, recount.dropped);
+        assert_eq!(events, 6_000);
+        assert!(result.matching_size() > 0);
+        // Both kinds of lazy cleanup happened, so the counts were checked
+        // against drops as well as picks.
+        assert!(dropped.0 > 0 && dropped.1 > 0, "dropped {dropped:?}");
+        // Each side's total only grows by a push, so its maximum over all
+        // events is the maximum right after a push: what `peak_waiting`
+        // records.
+        assert!(peak > 0);
+        assert_eq!(policy.peak_waiting, peak);
     }
 
     #[test]

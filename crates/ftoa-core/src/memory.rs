@@ -60,12 +60,6 @@ pub fn vec_bytes<T>(n: usize) -> usize {
     size_of::<T>() * n + size_of::<Vec<T>>()
 }
 
-/// Estimated bytes used by a map (hash or ordered) with `n` entries of key
-/// `K` and value `V` (including typical load-factor / node overhead).
-pub fn map_bytes<K, V>(n: usize) -> usize {
-    ((size_of::<K>() + size_of::<V>() + 8) as f64 * n as f64 * 1.3) as usize + 48
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,7 +86,6 @@ mod tests {
     #[test]
     fn size_helpers_scale_linearly() {
         assert!(vec_bytes::<u64>(100) >= 800);
-        assert!(map_bytes::<u64, u64>(100) > vec_bytes::<u64>(100));
         assert!(vec_bytes::<u8>(0) > 0);
     }
 }

@@ -127,6 +127,31 @@ impl SpatioTemporalMatrix {
         self.data.iter().map(|&v| v.max(0.0).round() as usize).collect()
     }
 
+    /// Largest-remainder rounding into non-negative integer counts whose sum
+    /// is the rounded total: every entry is floored, then the entries with
+    /// the largest fractional parts (ties by index) get one more. Negative
+    /// entries count as zero. This turns a predicted matrix into guide node
+    /// counts and expected counts into a synthetic prediction.
+    pub fn round_preserving_total(&self) -> Vec<usize> {
+        let target = self.total().round().max(0.0) as usize;
+        let mut counts: Vec<usize> =
+            self.data.iter().map(|&v| v.max(0.0).floor() as usize).collect();
+        let floor_total: usize = counts.iter().sum();
+        if target > floor_total {
+            let mut remainders: Vec<(usize, f64)> = self
+                .data
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| (i, v.max(0.0) - v.max(0.0).floor()))
+                .collect();
+            remainders.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            for &(i, _) in remainders.iter().take(target - floor_total) {
+                counts[i] += 1;
+            }
+        }
+        counts
+    }
+
     /// Elementwise map.
     pub fn map<F: FnMut(f64) -> f64>(&self, mut f: F) -> Self {
         Self {
@@ -204,6 +229,17 @@ mod tests {
     fn rounding_clamps_negatives() {
         let m = SpatioTemporalMatrix::from_vec(1, 4, vec![-0.4, 0.4, 0.6, 2.5]);
         assert_eq!(m.rounded_counts(), vec![0, 0, 1, 3]);
+    }
+
+    #[test]
+    fn largest_remainder_rounding_preserves_totals() {
+        let m = SpatioTemporalMatrix::from_vec(1, 4, vec![0.3, 0.3, 0.3, 0.1]);
+        let counts = m.round_preserving_total();
+        assert_eq!(counts.iter().sum::<usize>(), 1);
+        let m2 = SpatioTemporalMatrix::from_vec(1, 3, vec![1.5, 1.5, 1.0]);
+        assert_eq!(m2.round_preserving_total().iter().sum::<usize>(), 4);
+        let m3 = SpatioTemporalMatrix::from_vec(1, 2, vec![-1.0, 2.0]);
+        assert_eq!(m3.round_preserving_total(), vec![0, 2]);
     }
 
     #[test]

@@ -177,8 +177,8 @@ impl SyntheticConfig {
         let expected_workers =
             self.expected_counts(&config, self.num_workers as f64, &self.workers);
         let expected_tasks = self.expected_counts(&config, self.num_tasks as f64, &self.tasks);
-        let worker_counts = round_preserving_total(&expected_workers);
-        let task_counts = round_preserving_total(&expected_tasks);
+        let worker_counts = expected_workers.round_preserving_total();
+        let task_counts = expected_tasks.round_preserving_total();
 
         let worker_draws = draw_from_counts(&mut rng, &worker_counts);
         let mut workers = Vec::with_capacity(worker_draws.len());
@@ -279,24 +279,6 @@ impl SyntheticConfig {
         }
         out
     }
-}
-
-/// Largest-remainder rounding of a fractional count matrix into integer
-/// per-bin counts whose sum equals the rounded total.
-fn round_preserving_total(matrix: &SpatioTemporalMatrix) -> Vec<usize> {
-    let values = matrix.as_slice();
-    let target = matrix.total().round().max(0.0) as usize;
-    let mut counts: Vec<usize> = values.iter().map(|&v| v.max(0.0).floor() as usize).collect();
-    let floor_total: usize = counts.iter().sum();
-    if target > floor_total {
-        let mut remainders: Vec<(usize, f64)> =
-            values.iter().enumerate().map(|(i, &v)| (i, v.max(0.0) - v.max(0.0).floor())).collect();
-        remainders.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        for &(i, _) in remainders.iter().take(target - floor_total) {
-            counts[i] += 1;
-        }
-    }
-    counts
 }
 
 /// Draw `Σ counts` independent trials from the categorical distribution
