@@ -121,3 +121,36 @@ fn hybrid_backend_ignores_a_stale_threshold_variable() {
     };
     assert_eq!(run(Some("banana")), run(None));
 }
+
+/// A header declaring too many `(slot, cell)` types is a line-numbered
+/// trace error (exit 1), not an abort on a multi-terabyte allocation
+/// (exit 134). Both cases are one-line edits of the weighted fixture.
+#[test]
+fn oversized_trace_header_is_a_line_numbered_error() {
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../traces/fixture_weighted.trace");
+    let text = std::fs::read_to_string(fixture).unwrap();
+    let dir = std::env::temp_dir().join(format!("ftoa-cli-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (line, edit) in [(4, "config grid 4294967295 12"), (5, "config slots 0 15 99999999")] {
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines[line - 1] = edit;
+        let path = dir.join(format!("edited_line_{line}.trace"));
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        let out = replay()
+            .args([
+                "--trace".as_ref(),
+                path.as_os_str(),
+                "--algo".as_ref(),
+                "simplegreedy".as_ref(),
+                "--deterministic-only".as_ref(),
+            ])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "`{edit}`: {}", stderr_of(&out));
+        let err = stderr_of(&out);
+        assert!(err.contains(&format!("trace line {line}:")), "`{edit}`: {err}");
+        assert!(err.contains("(slot, cell) types"), "`{edit}`: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

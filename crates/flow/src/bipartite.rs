@@ -7,7 +7,7 @@
 
 use crate::dinic::dinic;
 use crate::edmonds_karp::edmonds_karp;
-use crate::hopcroft_karp::hopcroft_karp;
+use crate::hopcroft_karp::hopcroft_karp_csr;
 use crate::min_cost::{min_cost_max_flow, McmfNetwork};
 use crate::network::FlowNetwork;
 
@@ -37,6 +37,23 @@ pub struct Matching {
 }
 
 impl Matching {
+    /// No pairs yet, between `n_left` and `n_right` vertices.
+    fn empty(n_left: usize, n_right: usize) -> Self {
+        Self {
+            pairs: Vec::new(),
+            left_to_right: vec![None; n_left],
+            right_to_left: vec![None; n_right],
+            total_cost: 0,
+        }
+    }
+
+    /// Record the pair `(l, r)`.
+    fn push(&mut self, l: usize, r: usize) {
+        self.pairs.push((l, r));
+        self.left_to_right[l] = Some(r);
+        self.right_to_left[r] = Some(l);
+    }
+
     /// Cardinality of the matching.
     pub fn len(&self) -> usize {
         self.pairs.len()
@@ -70,19 +87,24 @@ impl Matching {
 
 /// A bipartite graph with `n_left` left vertices, `n_right` right vertices and
 /// optionally cost-weighted edges.
+///
+/// Edges are stored as added, 16 bytes each. A solve lays them out per left
+/// vertex in one stable counting-sort pass, so a left vertex's edges keep
+/// the order they were added in, whatever order the left vertices were
+/// added in.
 #[derive(Debug, Clone, Default)]
 pub struct BipartiteGraph {
     n_left: usize,
     n_right: usize,
-    /// `adj[l]` lists `(r, cost)` pairs.
-    adj: Vec<Vec<(usize, i64)>>,
-    num_edges: usize,
+    /// `(left, right, cost)` in insertion order.
+    edges: Vec<(u32, u32, i64)>,
 }
 
 impl BipartiteGraph {
     /// Create a bipartite graph with the given side sizes and no edges.
     pub fn new(n_left: usize, n_right: usize) -> Self {
-        Self { n_left, n_right, adj: vec![Vec::new(); n_left], num_edges: 0 }
+        assert!(n_left < u32::MAX as usize && n_right < u32::MAX as usize, "too many vertices");
+        Self { n_left, n_right, edges: Vec::new() }
     }
 
     /// Number of left vertices.
@@ -97,7 +119,7 @@ impl BipartiteGraph {
 
     /// Number of edges.
     pub fn num_edges(&self) -> usize {
-        self.num_edges
+        self.edges.len()
     }
 
     /// Add an (uncosted) edge between left vertex `l` and right vertex `r`.
@@ -110,13 +132,7 @@ impl BipartiteGraph {
         assert!(l < self.n_left, "left vertex out of range");
         assert!(r < self.n_right, "right vertex out of range");
         assert!(cost >= 0, "negative edge cost");
-        self.adj[l].push((r, cost));
-        self.num_edges += 1;
-    }
-
-    /// Neighbours of a left vertex.
-    pub fn neighbors(&self, l: usize) -> impl Iterator<Item = usize> + '_ {
-        self.adj[l].iter().map(|&(r, _)| r)
+        self.edges.push((l as u32, r as u32, cost));
     }
 
     /// Compute a maximum-cardinality matching with the requested engine.
@@ -137,6 +153,7 @@ impl BipartiteGraph {
     /// (min-cost max-flow formulation). Ties in cardinality are broken by
     /// cost; cardinality is never sacrificed for cost.
     pub fn min_cost_max_matching(&self) -> Matching {
+        let (first, slots) = self.lay_out(|&(_, r, cost)| (r, cost));
         // Node layout: 0 = source, 1..=n_left = left, then right, then sink.
         let s = 0usize;
         let left_base = 1usize;
@@ -149,43 +166,61 @@ impl BipartiteGraph {
         for r in 0..self.n_right {
             net.add_edge(right_base + r, t, 1, 0);
         }
-        let mut edge_index = Vec::with_capacity(self.num_edges);
-        for (l, nbrs) in self.adj.iter().enumerate() {
-            for &(r, cost) in nbrs {
-                let id = net.add_edge(left_base + l, right_base + r, 1, cost);
-                edge_index.push((id, l, r, cost));
+        let pair_base = self.n_left + self.n_right;
+        for (l, k) in positions(&first) {
+            let (r, cost) = slots[k];
+            net.add_edge(left_base + l, right_base + r as usize, 1, cost);
+        }
+        let result = min_cost_max_flow(&net, s, t);
+        let mut m = Matching::empty(self.n_left, self.n_right);
+        for (l, k) in positions(&first) {
+            if result.edge_flows[pair_base + k] > 0 {
+                let (r, cost) = slots[k];
+                m.push(l, r as usize);
+                m.total_cost += cost;
             }
         }
-        let result = min_cost_max_flow(&mut net, s, t);
-        let mut pairs = Vec::with_capacity(result.flow as usize);
-        let mut left_to_right = vec![None; self.n_left];
-        let mut right_to_left = vec![None; self.n_right];
-        let mut total_cost = 0;
-        for &(id, l, r, cost) in &edge_index {
-            if result.edge_flows[id] > 0 {
-                pairs.push((l, r));
-                left_to_right[l] = Some(r);
-                right_to_left[r] = Some(l);
-                total_cost += cost;
-            }
+        m
+    }
+
+    /// Lay the edges out per left vertex, keeping their insertion order
+    /// within each vertex: left vertex `l`'s edges are
+    /// `slots[first[l]..first[l + 1]]`, each projected through `slot`.
+    fn lay_out<T: Copy + Default>(
+        &self,
+        slot: impl Fn(&(u32, u32, i64)) -> T,
+    ) -> (Vec<usize>, Vec<T>) {
+        let mut first = vec![0usize; self.n_left + 1];
+        for &(l, _, _) in &self.edges {
+            first[l as usize + 1] += 1;
         }
-        Matching { pairs, left_to_right, right_to_left, total_cost }
+        for l in 0..self.n_left {
+            first[l + 1] += first[l];
+        }
+        let mut next = first[..self.n_left].to_vec();
+        let mut slots = vec![T::default(); self.edges.len()];
+        for edge in &self.edges {
+            let l = edge.0 as usize;
+            slots[next[l]] = slot(edge);
+            next[l] += 1;
+        }
+        (first, slots)
     }
 
     fn matching_hopcroft_karp(&self) -> Matching {
-        let adj: Vec<Vec<usize>> =
-            self.adj.iter().map(|nbrs| nbrs.iter().map(|&(r, _)| r).collect()).collect();
-        let (_size, ml, mr) = hopcroft_karp(self.n_left, self.n_right, &adj);
-        let left_to_right: Vec<Option<usize>> =
-            ml.iter().map(|&r| if r == usize::MAX { None } else { Some(r) }).collect();
-        let right_to_left: Vec<Option<usize>> =
-            mr.iter().map(|&l| if l == usize::MAX { None } else { Some(l) }).collect();
-        let pairs: Vec<(usize, usize)> =
-            left_to_right.iter().enumerate().filter_map(|(l, r)| r.map(|r| (l, r))).collect();
-        Matching { pairs, left_to_right, right_to_left, total_cost: 0 }
+        let (first, right) = self.lay_out(|&(_, r, _)| r);
+        let (_size, match_left, _) = hopcroft_karp_csr(self.n_right, &first, &right);
+        let mut m = Matching::empty(self.n_left, self.n_right);
+        for (l, &r) in match_left.iter().enumerate() {
+            if r != u32::MAX {
+                m.push(l, r as usize);
+            }
+        }
+        m
     }
 
     fn matching_via_flow(&self, engine: MaxFlowEngine) -> Matching {
+        let (first, right) = self.lay_out(|&(_, r, _)| r);
         let s = 0usize;
         let left_base = 1usize;
         let right_base = 1 + self.n_left;
@@ -197,29 +232,28 @@ impl BipartiteGraph {
         for r in 0..self.n_right {
             net.add_edge(right_base + r, t, 1);
         }
-        let mut edge_ids = Vec::with_capacity(self.num_edges);
-        for (l, nbrs) in self.adj.iter().enumerate() {
-            for &(r, _cost) in nbrs {
-                let e = net.add_edge(left_base + l, right_base + r, 1);
-                edge_ids.push((e, l, r));
-            }
+        let pair_base = self.n_left + self.n_right;
+        for (l, k) in positions(&first) {
+            net.add_edge(left_base + l, right_base + right[k] as usize, 1);
         }
         match engine {
             MaxFlowEngine::EdmondsKarp => edmonds_karp(&mut net, s, t),
             _ => dinic(&mut net, s, t),
         };
-        let mut pairs = Vec::new();
-        let mut left_to_right = vec![None; self.n_left];
-        let mut right_to_left = vec![None; self.n_right];
-        for &(e, l, r) in &edge_ids {
-            if net.flow_on(e) > 0 {
-                pairs.push((l, r));
-                left_to_right[l] = Some(r);
-                right_to_left[r] = Some(l);
+        let mut m = Matching::empty(self.n_left, self.n_right);
+        for (l, k) in positions(&first) {
+            if net.flow_on(pair_base + k) > 0 {
+                m.push(l, right[k] as usize);
             }
         }
-        Matching { pairs, left_to_right, right_to_left, total_cost: 0 }
+        m
     }
+}
+
+/// `(left vertex, position)` of every laid-out edge, in layout order, given
+/// the layout's per-vertex offsets.
+fn positions(first: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    first.windows(2).enumerate().flat_map(|(l, span)| (span[0]..span[1]).map(move |k| (l, k)))
 }
 
 #[cfg(test)]
@@ -275,13 +309,16 @@ mod tests {
     }
 
     #[test]
-    fn neighbors_iterates_added_edges() {
-        let g = sample_graph();
-        let n0: Vec<usize> = g.neighbors(0).collect();
-        assert_eq!(n0, vec![0, 1]);
-        assert_eq!(g.n_left(), 3);
-        assert_eq!(g.n_right(), 3);
-        assert_eq!(g.num_edges(), 4);
+    fn layout_keeps_insertion_order_per_left_vertex() {
+        // Added right-major: r2's edges, then r0's, then r1's.
+        let mut g = BipartiteGraph::new(3, 3);
+        for (l, r) in [(2, 2), (0, 2), (1, 0), (0, 0), (2, 1), (0, 1)] {
+            g.add_edge_with_cost(l, r, (10 * l + r) as i64);
+        }
+        assert_eq!((g.n_left(), g.n_right(), g.num_edges()), (3, 3, 6));
+        let (first, slots) = g.lay_out(|&(_, r, cost)| (r, cost));
+        assert_eq!(first, vec![0, 3, 4, 6]);
+        assert_eq!(slots, vec![(2, 2), (0, 0), (1, 1), (0, 10), (2, 22), (1, 21)]);
     }
 
     #[test]

@@ -24,12 +24,21 @@
 //! * [`dinic`][mod@dinic] — the asymptotically faster algorithm used by default for the
 //!   large guide/OPT instances.
 //! * [`hopcroft_karp`][mod@hopcroft_karp] — a dedicated maximum bipartite matching algorithm,
-//!   used both as an independent cross-check in tests and as a fast path.
+//!   used both as an independent cross-check in tests and as the solver of
+//!   [`BipartiteGraph::max_matching`]. It runs on a CSR graph with `u32`
+//!   match and distance arrays and one queue per solve.
 //! * [`min_cost_max_flow`] — min-cost max-flow, for the paper's remark that a
-//!   travel-cost-weighted guide can be derived with a mincost-maxflow solver.
+//!   travel-cost-weighted guide can be derived with a mincost-maxflow solver,
+//!   and for the payoff-optimal batch rounds. Its network,
+//!   [`McmfNetwork`][min_cost::McmfNetwork], only records its edges; a
+//!   solve lays them out in CSR form, in add order per node, and reuses its
+//!   search buffers across augmenting paths.
 //! * [`min_cut_from_residual`] — the reachability cut of the residual network.
 //! * [`BipartiteGraph`] — a convenience wrapper that hides the source/sink
-//!   plumbing and returns matchings as `(left, right)` index pairs.
+//!   plumbing and returns matchings as `(left, right)` index pairs. It
+//!   stores edges as added, 16 bytes each, and lays them out per left vertex
+//!   with one stable counting-sort pass when a solve starts, so a caller
+//!   may add them in any order across left vertices.
 
 pub mod bipartite;
 pub mod dinic;

@@ -76,6 +76,30 @@ proptest! {
         if fa < i64::MAX { prop_assert!(!cut.in_source_side[sink] || fa == 0); }
     }
 
+    /// A round graph's edges may arrive in any order across left vertices:
+    /// the same edge set added right-major and left-major, each in sorted
+    /// order, lays out identically, so both solvers return the identical
+    /// matching (pairs, both maps and total cost).
+    #[test]
+    fn insertion_order_across_left_vertices_does_not_change_the_matching(
+        (nl, nr, edges) in bipartite_strategy()
+    ) {
+        let mut costed: Vec<(usize, usize, i64)> =
+            edges.iter().enumerate().map(|(i, &(l, r))| (l, r, (i % 4) as i64)).collect();
+        costed.sort_unstable();
+        let mut left_major = BipartiteGraph::new(nl, nr);
+        for &(l, r, cost) in &costed {
+            left_major.add_edge_with_cost(l, r, cost);
+        }
+        costed.sort_by_key(|&(l, r, cost)| (r, l, cost));
+        let mut right_major = BipartiteGraph::new(nl, nr);
+        for &(l, r, cost) in &costed {
+            right_major.add_edge_with_cost(l, r, cost);
+        }
+        prop_assert_eq!(right_major.max_matching(), left_major.max_matching());
+        prop_assert_eq!(right_major.min_cost_max_matching(), left_major.min_cost_max_matching());
+    }
+
     /// Matching size never exceeds min(|L|, |R|) and is monotone in edge additions.
     #[test]
     fn matching_size_bounds((nl, nr, edges) in bipartite_strategy()) {

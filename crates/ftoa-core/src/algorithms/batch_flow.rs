@@ -1,22 +1,36 @@
-//! Flow-backed batch policies: windowed bipartite rounds solved with the
-//! `flow` crate's exact matchers.
+//! Batch rounds: windowed bipartite matchings solved with the `flow`
+//! crate's exact matchers, for GR and the two flow-backed policies.
 //!
-//! Both policies share GR's batching skeleton — gather the objects arriving
-//! within a Δt window, solve a bipartite round over everything still alive
-//! at the window boundary, repeat — but hand the round to an exact solver
-//! instead of the unweighted augmenting scan:
+//! All three policies gather the objects arriving within a Δt window,
+//! solve one bipartite round over everything still alive at the window
+//! boundary, and repeat. [`BatchFlowPolicy`] runs that loop for all of
+//! them; they differ only in the left vertices a worker gets and in the
+//! objective of the round:
 //!
-//! * [`BatchMaxFlow`] maximises the *cardinality* of each round with
-//!   Hopcroft–Karp ([`flow::BipartiteGraph::max_matching`]);
-//! * [`BatchHungarian`] maximises the round's *payoff* among the
-//!   maximum-cardinality matchings via min-cost max-flow
-//!   ([`flow::BipartiteGraph::min_cost_max_matching`]), the assignment-
-//!   problem (Hungarian) objective expressed as costs `P_max − payoff`.
+//! * GR ([`crate::algorithms::BatchGreedy`]) gives each worker one left
+//!   vertex, whatever its remaining capacity, and maximises cardinality
+//!   with Hopcroft–Karp ([`flow::BipartiteGraph::max_matching`]);
+//! * [`BatchMaxFlow`] gives a worker with `c` remaining units of capacity
+//!   `c` left vertices, which reduces the capacitated round to plain
+//!   bipartite matching, and maximises cardinality the same way;
+//! * [`BatchHungarian`] uses the same replicated vertices and maximises
+//!   the round's *payoff* among the maximum-cardinality matchings via
+//!   min-cost max-flow ([`flow::BipartiteGraph::min_cost_max_matching`]),
+//!   the assignment-problem (Hungarian) objective expressed as costs
+//!   `P_max − payoff`.
 //!
-//! Workers with capacity `c > 1` enter each round as `c` replicated left
-//! vertices (one per remaining unit), which reduces the capacitated round
-//! to plain bipartite matching; the engine's [`EngineContext::commit`]
-//! surface then debits the units one committed pair at a time.
+//! The engine's [`EngineContext::commit`] surface debits capacity one
+//! committed pair at a time.
+//!
+//! A round's feasibility graph comes from per-task *reachable disk* range
+//! queries on the worker index instead of a scan of every worker×task
+//! pair: a worker can reach task `r` departing at the batch instant `t`
+//! iff it lies within `velocity · (deadline_r − t)` of `L_r`. Tasks are
+//! queried in arrival order and their edges go straight into the round's
+//! [`flow::BipartiteGraph`], which lays them out per left vertex in
+//! insertion order. Each worker×task pair is found once, so a worker's
+//! edges list its tasks in arrival order whatever order the index reports
+//! workers in, and the matching never depends on the index backend.
 
 use crate::algorithms::OnlineAlgorithm;
 use crate::engine::context::{AssignmentDecision, EngineContext};
@@ -33,13 +47,16 @@ use ftoa_types::{Task, TimeDelta, TimeStamp, Worker};
 /// distinguishable difference without overflowing `i64` on realistic rounds.
 const PAYOFF_COST_SCALE: f64 = 1e6;
 
-/// Objective a flow-backed round optimises.
+/// What a round gives each worker and what it optimises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RoundObjective {
-    /// Maximum cardinality (Hopcroft–Karp).
+pub(crate) enum RoundObjective {
+    /// One left vertex per worker, maximum cardinality (GR).
+    WorkerCardinality,
+    /// One left vertex per remaining unit of capacity, maximum cardinality.
     Cardinality,
-    /// Maximum payoff among the maximum-cardinality matchings (min-cost
-    /// max-flow with costs `P_max − payoff`).
+    /// One left vertex per remaining unit of capacity, maximum payoff among
+    /// the maximum-cardinality matchings (min-cost max-flow with costs
+    /// `P_max − payoff`).
     Payoff,
 }
 
@@ -83,24 +100,22 @@ impl BatchHungarian {
     }
 }
 
-/// Reusable per-round buffers (cleared, not dropped, between rounds).
+/// Reusable per-round buffers: cleared, not dropped, between rounds, so the
+/// steady-state event loop allocates only the round graph once the buffers
+/// reach their high-water marks.
 #[derive(Debug, Clone, Default)]
 struct RoundScratch {
     workers: Vec<Worker>,
-    /// Remaining capacity of `workers[i]` at the round instant.
-    units: Vec<u32>,
-    /// Left-vertex → index into `workers` (capacity replication).
-    left_of: Vec<usize>,
-    /// First left vertex of `workers[i]`.
-    first_left: Vec<usize>,
     tasks: Vec<Task>,
-    /// Feasible `(worker, task)` pairs before replication.
-    edges: Vec<(usize, usize)>,
-    /// Dense worker id → position in `workers` (`u32::MAX` when absent).
+    /// `workers[i]`'s left vertices are `first_left[i]..first_left[i + 1]`.
+    first_left: Vec<usize>,
+    /// Dense worker id → position in `workers` for the current round
+    /// (`u32::MAX` when absent). Grow-only; entries used by a round are
+    /// reset on its way out.
     worker_slot: Vec<u32>,
 }
 
-/// Per-event batching logic shared by both flow-backed policies.
+/// Per-event batching logic of GR, BATCH-MF and BATCH-HUN.
 #[derive(Debug, Clone)]
 pub struct BatchFlowPolicy {
     name: &'static str,
@@ -112,7 +127,7 @@ pub struct BatchFlowPolicy {
 }
 
 impl BatchFlowPolicy {
-    fn new(name: &'static str, objective: RoundObjective, window_minutes: f64) -> Self {
+    pub(crate) fn new(name: &'static str, objective: RoundObjective, window_minutes: f64) -> Self {
         Self {
             name,
             objective,
@@ -122,7 +137,7 @@ impl BatchFlowPolicy {
         }
     }
 
-    /// Process every window that closed before `now` (same cadence as GR).
+    /// Process every window that closed before `now`.
     fn catch_up(&mut self, ctx: &mut EngineContext<'_>, now: TimeStamp) {
         let mut window_end = match self.window_end {
             Some(t) => t,
@@ -161,15 +176,19 @@ impl OnlinePolicy for BatchFlowPolicy {
     }
 
     fn expiry_cutoff(&self, now: TimeStamp) -> TimeStamp {
-        // Objects alive at the pending round boundary stay visible to it.
+        // Objects that were alive at the pending round boundary must stay
+        // visible to its round even if their deadline passes before the
+        // event that triggers it.
         self.window_end.unwrap_or(now)
     }
 }
 
 /// Solve and commit one bipartite round at the batch instant `t`.
 ///
-/// Collection, sorting and edge canonicalisation mirror GR's flush so the
-/// two baselines differ only in the solver, never in the graph they see.
+/// Workers and tasks enter in arrival order (the event stream breaks time
+/// ties by id), and the committed pairs come out sorted by left vertex, so
+/// the matching depends on neither the pools' slot order nor the index
+/// backend.
 fn solve_round(
     ctx: &mut EngineContext<'_>,
     t: TimeStamp,
@@ -177,7 +196,7 @@ fn solve_round(
     scratch: &mut RoundScratch,
 ) {
     let velocity = ctx.velocity();
-    let RoundScratch { workers, units, left_of, first_left, tasks, edges, worker_slot } = scratch;
+    let RoundScratch { workers, tasks, first_left, worker_slot } = scratch;
     workers.clear();
     ctx.idle_workers().for_each_unordered(&mut |w| {
         if w.deadline() >= t {
@@ -199,29 +218,24 @@ fn solve_round(
     workers.sort_by(|a, b| a.start.cmp(&b.start).then(a.id.cmp(&b.id)));
     tasks.sort_by(|a, b| a.release.cmp(&b.release).then(a.id.cmp(&b.id)));
 
-    // Remaining capacity per collected worker, and the left-vertex layout
-    // replicating each worker once per remaining unit.
-    units.clear();
     first_left.clear();
-    left_of.clear();
+    first_left.push(0);
+    let mut lefts = 0;
     {
         let pool = ctx.idle_workers();
         for w in workers.iter() {
-            let remaining = pool
-                .handle_of(w.id.index())
-                .and_then(|h| pool.remaining_capacity(h))
-                .unwrap_or(0)
-                .max(1);
-            units.push(remaining);
+            lefts += match objective {
+                RoundObjective::WorkerCardinality => 1,
+                RoundObjective::Cardinality | RoundObjective::Payoff => {
+                    pool.handle_of(w.id.index())
+                        .and_then(|h| pool.remaining_capacity(h))
+                        .unwrap_or(0)
+                        .max(1) as usize
+                }
+            };
+            first_left.push(lefts);
         }
     }
-    for (wi, &u) in units.iter().enumerate() {
-        first_left.push(left_of.len());
-        for _ in 0..u {
-            left_of.push(wi);
-        }
-    }
-
     for (wi, w) in workers.iter().enumerate() {
         let id = w.id.index();
         if id >= worker_slot.len() {
@@ -229,53 +243,52 @@ fn solve_round(
         }
         worker_slot[id] = wi as u32;
     }
-    edges.clear();
-    for (ri, r) in tasks.iter().enumerate() {
-        let radius = r.reach_radius_at(t, velocity);
-        let location = r.location;
-        let deadline = r.deadline();
-        ctx.idle_workers().for_each_within(&location, radius, &mut |_, w| match worker_slot
-            .get(w.id.index())
-        {
-            Some(&wi)
-                if wi != u32::MAX
-                    && t + w.location.travel_time(&location, velocity) <= deadline =>
-            {
-                edges.push((wi as usize, ri));
-            }
-            _ => {}
-        });
-    }
-    edges.sort_unstable();
 
     // The cost of serving `r`: cheapest for the highest payoff, so the
     // min-cost maximum matching is the payoff-maximal one. Costs must be
     // non-negative, hence the `P_max − payoff` shift.
     let max_payoff = tasks.iter().fold(0.0f64, |m, r| m.max(r.payoff));
-    let graph_edges = left_of.len().max(edges.len());
-    let mut graph = BipartiteGraph::new(left_of.len(), tasks.len());
-    for &(wi, ri) in edges.iter() {
+    let mut graph = BipartiteGraph::new(lefts, tasks.len());
+    for (ri, r) in tasks.iter().enumerate() {
+        let radius = r.reach_radius_at(t, velocity);
+        let location = r.location;
+        let deadline = r.deadline();
         let cost = match objective {
-            RoundObjective::Cardinality => 0,
-            RoundObjective::Payoff => {
-                ((max_payoff - tasks[ri].payoff) * PAYOFF_COST_SCALE).round() as i64
-            }
+            RoundObjective::Payoff => ((max_payoff - r.payoff) * PAYOFF_COST_SCALE).round() as i64,
+            RoundObjective::WorkerCardinality | RoundObjective::Cardinality => 0,
         };
-        for unit in 0..units[wi] as usize {
-            graph.add_edge_with_cost(first_left[wi] + unit, ri, cost);
-        }
+        // The range query prunes the candidate pairs; the exact travel-time
+        // check keeps the edge set identical to the full double loop.
+        ctx.idle_workers().for_each_within(&location, radius, &mut |_, w| {
+            match worker_slot.get(w.id.index()) {
+                // The pool can hold workers already past the batch instant
+                // (the batched expiry cutoff keeps them for *earlier*
+                // rounds); those never made it into `workers`.
+                Some(&wi)
+                    if wi != u32::MAX
+                        && t + w.location.travel_time(&location, velocity) <= deadline =>
+                {
+                    let wi = wi as usize;
+                    for left in first_left[wi]..first_left[wi + 1] {
+                        graph.add_edge_with_cost(left, ri, cost);
+                    }
+                }
+                _ => {}
+            }
+        });
     }
-    ctx.memory_mut().allocate(vec_bytes::<(usize, usize)>(graph_edges));
+    let graph_bytes = vec_bytes::<(u32, u32, i64)>(graph.num_edges());
+    ctx.memory_mut().allocate(graph_bytes);
     let matching = match objective {
-        RoundObjective::Cardinality => graph.max_matching(),
+        RoundObjective::WorkerCardinality | RoundObjective::Cardinality => graph.max_matching(),
         RoundObjective::Payoff => graph.min_cost_max_matching(),
     };
-    for &(li, ri) in &matching.pairs {
-        let worker_id = workers[left_of[li]].id;
-        let task_id = tasks[ri].id;
-        ctx.commit(AssignmentDecision::new(worker_id, task_id).at(t));
+    for &(left, ri) in &matching.pairs {
+        let wi = first_left.partition_point(|&f| f <= left) - 1;
+        ctx.commit(AssignmentDecision::new(workers[wi].id, tasks[ri].id).at(t));
     }
-    ctx.memory_mut().release(vec_bytes::<(usize, usize)>(graph_edges));
+    ctx.memory_mut().release(graph_bytes);
+    // Reset the sentinel map for the next round.
     for w in workers.iter() {
         worker_slot[w.id.index()] = u32::MAX;
     }

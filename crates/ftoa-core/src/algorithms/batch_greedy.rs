@@ -6,20 +6,16 @@
 //! not yet expired), under the wait-in-place feasibility model. Objects left
 //! unmatched stay available for later windows until they expire.
 //!
-//! The window pools are the engine's candidate indexes, so the feasibility
-//! graph of each batch is built from per-task *reachable disk* range queries
-//! instead of scanning every worker×task pair: a worker can reach task `r`
-//! departing at the batch instant `t` iff it lies within
-//! `velocity · (deadline_r − t)` of `L_r`.
+//! Each window is one round of the batch policy GR shares with the
+//! flow-backed baselines ([`BatchFlowPolicy`]): every worker is one left
+//! vertex, and Hopcroft–Karp finds the maximum matching. The module docs of
+//! [`crate::algorithms::batch_flow`] describe how a round's graph is built.
 
+use crate::algorithms::batch_flow::{BatchFlowPolicy, RoundObjective};
 use crate::algorithms::OnlineAlgorithm;
-use crate::engine::context::{AssignmentDecision, EngineContext};
-use crate::engine::driver::{OnlinePolicy, SimulationEngine};
+use crate::engine::driver::SimulationEngine;
 use crate::instance::Instance;
-use crate::memory::vec_bytes;
 use crate::result::AlgorithmResult;
-use flow::BipartiteGraph;
-use ftoa_types::{Task, TimeDelta, TimeStamp, Worker};
 
 /// The GR baseline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,173 +35,8 @@ impl Default for BatchGreedy {
 
 impl BatchGreedy {
     /// The incremental policy implementing GR on the engine.
-    pub fn policy(&self) -> BatchPolicy {
-        BatchPolicy {
-            window: TimeDelta::minutes(self.window_minutes.max(1e-6)),
-            window_end: None,
-            scratch: FlushScratch::default(),
-        }
-    }
-}
-
-/// Reusable per-flush buffers: cleared (not dropped) between batches, so the
-/// steady-state event loop allocates nothing once the buffers reach their
-/// high-water marks.
-#[derive(Debug, Clone, Default)]
-struct FlushScratch {
-    workers: Vec<Worker>,
-    tasks: Vec<Task>,
-    edges: Vec<(usize, usize)>,
-    /// Dense worker id → position in `workers` for the current flush
-    /// (`u32::MAX` when absent). Grow-only; entries used by a flush are
-    /// reset on its way out.
-    worker_slot: Vec<u32>,
-}
-
-/// Per-event batching logic of GR.
-#[derive(Debug, Clone)]
-pub struct BatchPolicy {
-    window: TimeDelta,
-    /// End of the currently open window (`None` until the first arrival).
-    window_end: Option<TimeStamp>,
-    scratch: FlushScratch,
-}
-
-impl BatchPolicy {
-    /// Process every window that closed before `now`.
-    fn catch_up(&mut self, ctx: &mut EngineContext<'_>, now: TimeStamp) {
-        let mut window_end = match self.window_end {
-            Some(t) => t,
-            None => {
-                self.window_end = Some(now + self.window);
-                return;
-            }
-        };
-        while now >= window_end {
-            flush(ctx, window_end, &mut self.scratch);
-            window_end += self.window;
-        }
-        self.window_end = Some(window_end);
-    }
-}
-
-impl OnlinePolicy for BatchPolicy {
-    fn name(&self) -> &'static str {
-        "GR"
-    }
-
-    fn on_worker_arrival(&mut self, ctx: &mut EngineContext<'_>, w: &Worker) {
-        self.catch_up(ctx, ctx.now());
-        ctx.admit_worker(w);
-    }
-
-    fn on_task_arrival(&mut self, ctx: &mut EngineContext<'_>, r: &Task) {
-        self.catch_up(ctx, ctx.now());
-        ctx.admit_task(r);
-    }
-
-    fn on_finish(&mut self, ctx: &mut EngineContext<'_>) {
-        if let Some(window_end) = self.window_end {
-            flush(ctx, window_end, &mut self.scratch);
-        }
-    }
-
-    fn expiry_cutoff(&self, now: TimeStamp) -> TimeStamp {
-        // Objects that were alive at the pending batch boundary must stay
-        // visible to its flush even if their deadline passes before the
-        // event that triggers it.
-        self.window_end.unwrap_or(now)
-    }
-}
-
-/// Compute and commit the maximum wait-in-place matching among the objects
-/// available at the batch instant `t`.
-///
-/// Node and edge order reproduce the pre-refactor loop exactly (objects in
-/// arrival order, edges worker-major), so the committed pairs — not just the
-/// matching size — are identical to the historical behaviour regardless of
-/// the index backend.
-fn flush(ctx: &mut EngineContext<'_>, t: TimeStamp, scratch: &mut FlushScratch) {
-    let velocity = ctx.velocity();
-    let FlushScratch { workers, tasks, edges, worker_slot } = scratch;
-    // Slot-order collection (O(peak live), not O(ids ever seen)); the
-    // arrival-order sorts below impose the canonical total order, so the
-    // collection order never leaks into the committed matching.
-    workers.clear();
-    ctx.idle_workers().for_each_unordered(&mut |w| {
-        if w.deadline() >= t {
-            workers.push(*w);
-        }
-    });
-    if workers.is_empty() {
-        return;
-    }
-    tasks.clear();
-    ctx.pending_tasks().for_each_unordered(&mut |r| {
-        if r.deadline() >= t {
-            tasks.push(*r);
-        }
-    });
-    if tasks.is_empty() {
-        return;
-    }
-    // Arrival order (the event stream breaks time ties by id).
-    workers.sort_by(|a, b| a.start.cmp(&b.start).then(a.id.cmp(&b.id)));
-    tasks.sort_by(|a, b| a.release.cmp(&b.release).then(a.id.cmp(&b.id)));
-
-    // Feasibility graph at the batch time: every pooled object arrived
-    // before `t`, so a worker departs at `t` and must reach `L_r` by the
-    // task deadline — i.e. lie inside the task's reachable disk at `t`.
-    // The range query prunes the candidate pairs; the exact travel-time
-    // check below keeps the edge set identical to the full double loop.
-    for (wi, w) in workers.iter().enumerate() {
-        let id = w.id.index();
-        if id >= worker_slot.len() {
-            worker_slot.resize(id + 1, u32::MAX);
-        }
-        worker_slot[id] = wi as u32;
-    }
-    // Tasks are queried in arrival order; a spatially sorted query order was
-    // tried for bucket-row locality but the per-flush sort cost more than the
-    // locality bought back (the windows are small, so consecutive arrivals
-    // are already clustered). The edge sort below canonicalises the graph
-    // either way, so query order cannot leak into the matching.
-    edges.clear();
-    for (ri, r) in tasks.iter().enumerate() {
-        let radius = r.reach_radius_at(t, velocity);
-        let location = r.location;
-        let deadline = r.deadline();
-        ctx.idle_workers().for_each_within(&location, radius, &mut |_, w| {
-            match worker_slot.get(w.id.index()) {
-                // The pool can hold workers already past the batch instant
-                // (the batched expiry cutoff keeps them for *earlier*
-                // flushes); those never made it into `workers`.
-                Some(&wi)
-                    if wi != u32::MAX
-                        && t + w.location.travel_time(&location, velocity) <= deadline =>
-                {
-                    edges.push((wi as usize, ri));
-                }
-                _ => {}
-            }
-        });
-    }
-    edges.sort_unstable();
-    let mut graph = BipartiteGraph::new(workers.len(), tasks.len());
-    for &(wi, ri) in edges.iter() {
-        graph.add_edge(wi, ri);
-    }
-    ctx.memory_mut().allocate(vec_bytes::<(usize, usize)>(edges.len()));
-    let matching = graph.max_matching();
-    for &(wi, ri) in &matching.pairs {
-        let worker_id = workers[wi].id;
-        let task_id = tasks[ri].id;
-        ctx.commit(AssignmentDecision::new(worker_id, task_id).at(t));
-    }
-    ctx.memory_mut().release(vec_bytes::<(usize, usize)>(edges.len()));
-    // Reset the sentinel map for the next flush.
-    for w in workers.iter() {
-        worker_slot[w.id.index()] = u32::MAX;
+    pub fn policy(&self) -> BatchFlowPolicy {
+        BatchFlowPolicy::new("GR", RoundObjective::WorkerCardinality, self.window_minutes)
     }
 }
 

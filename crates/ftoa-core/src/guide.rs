@@ -430,7 +430,7 @@ fn solve_min_cost(
         let id = net.add_edge(left_base + li, right_base + ri, cap, cost_ms.max(0));
         edge_ids.push((id, li, ri));
     });
-    let result = min_cost_max_flow(&mut net, source, sink);
+    let result = min_cost_max_flow(&net, source, sink);
     edge_ids
         .into_iter()
         .filter_map(|(id, li, ri)| {

@@ -28,7 +28,11 @@
 //! ```
 //!
 //! All five `config` lines are required (in any order, before the first
-//! event). Event lines appear in arrival-time order, as a log would record
+//! event). A header may declare at most [`MAX_TRACE_TYPES`] (2^24)
+//! `(slot, cell)` types, `num_slots × nx × ny`; the `grid` or `slots` line
+//! that crosses the cap is rejected.
+//!
+//! Event lines appear in arrival-time order, as a log would record
 //! them; ids are the dense 0-based ids of the stream, each appearing exactly
 //! once, so the reader reconstructs the exact worker/task numbering — and
 //! therefore the exact engine behaviour — of the captured stream. Floats are
@@ -73,6 +77,13 @@ pub const TRACE_MAGIC: &str = "#ftoa-trace v2";
 /// The legacy v1 magic line, still accepted by the reader. Under v1 the
 /// trailing `capacity` / `payoff` event fields are reserved and must be `1`.
 pub const TRACE_MAGIC_V1: &str = "#ftoa-trace v1";
+
+/// The most `(slot, cell)` types a trace header may declare, that is the
+/// largest `num_slots × nx × ny`. Replay sizes its per-type count matrices
+/// from the header, so without a cap a one-line edit could demand terabytes.
+/// The largest configuration in this repository, Figure 4's 200 × 200 grid
+/// at 48 slots, declares 1.92M types.
+pub const MAX_TRACE_TYPES: usize = 1 << 24;
 
 /// The format version a trace was read from (or will be written as).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -269,6 +280,25 @@ struct HeaderBuilder {
 }
 
 impl HeaderBuilder {
+    /// Reject a header whose `num_slots × nx × ny`, over the factors read
+    /// so far, overflows or exceeds [`MAX_TRACE_TYPES`]. Called on the
+    /// `grid` and `slots` lines, so the error names the line that crossed
+    /// the cap.
+    fn check_types(&self, line: usize) -> Result<(), TraceError> {
+        let (nx, ny) = self.grid.unwrap_or((1, 1));
+        let num_slots = self.slots.map_or(1, |(_, _, n)| n);
+        match num_slots.checked_mul(nx).and_then(|t| t.checked_mul(ny)) {
+            Some(types) if types <= MAX_TRACE_TYPES => Ok(()),
+            _ => Err(TraceError::parse(
+                line,
+                format!(
+                    "{num_slots} slots x {nx} x {ny} cells exceeds the limit of \
+                     {MAX_TRACE_TYPES} (slot, cell) types"
+                ),
+            )),
+        }
+    }
+
     fn build(self, line: usize) -> Result<ProblemConfig, TraceError> {
         let (min_x, min_y, max_x, max_y) = self
             .region
@@ -437,6 +467,7 @@ fn parse_config_line(
         "grid" => {
             expect_args(2)?;
             builder.grid = Some((parse_usize(fields[2], line)?, parse_usize(fields[3], line)?));
+            builder.check_types(line)?;
         }
         "slots" => {
             expect_args(3)?;
@@ -445,6 +476,7 @@ fn parse_config_line(
                 parse_f64(fields[3], line)?,
                 parse_usize(fields[4], line)?,
             ));
+            builder.check_types(line)?;
         }
         "velocity" => {
             expect_args(1)?;
@@ -873,6 +905,42 @@ mod tests {
             }
             other => panic!("expected parse error, got {other}"),
         }
+    }
+
+    /// A header declaring more `(slot, cell)` types than the cap is
+    /// rejected on the line that crosses it, before anything is sized from
+    /// it; these two edits of the weighted fixture's header used to abort
+    /// replay with a multi-terabyte allocation.
+    #[test]
+    fn oversized_headers_are_rejected_on_the_line_that_crosses_the_cap() {
+        let header = |grid: &str, slots: &str| {
+            format!(
+                "#ftoa-trace v2\nconfig region 0 0 12 12\nconfig grid {grid}\n\
+                 config slots {slots}\nconfig velocity 1\nconfig defaults 30 30\n\
+                 w 0 1 2 3 10 1\n"
+            )
+        };
+        let cases = [
+            (header("4294967295 12", "0 15 12"), 3, "4294967295 x 12"),
+            (header("12 12", "0 15 99999999"), 4, "99999999 slots x 12 x 12"),
+            (header("18446744073709551615 2", "0 15 1"), 3, "exceeds the limit"),
+        ];
+        for (text, expected_line, needle) in cases {
+            match TraceReader::read_str(&text).expect_err("must fail") {
+                TraceError::Parse { line, message } => {
+                    assert_eq!(line, expected_line, "{message}");
+                    assert!(message.contains(needle), "`{message}` should mention `{needle}`");
+                    assert!(message.contains("16777216"), "must name the cap: {message}");
+                }
+                other => panic!("expected parse error, got {other}"),
+            }
+        }
+        // Slots first: the grid line then crosses the cap.
+        let text = "#ftoa-trace v2\nconfig slots 0 15 48\nconfig grid 1000 1000\n";
+        assert!(matches!(TraceReader::read_str(text), Err(TraceError::Parse { line: 3, .. })));
+        // Exactly at the cap is legal.
+        let text = header("4096 4096", "0 15 1");
+        assert!(TraceReader::read_str(&text).is_ok());
     }
 
     #[test]
