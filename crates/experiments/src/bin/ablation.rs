@@ -15,7 +15,7 @@ fn main() {
 
     println!("Ablations (object scale {scale})\n");
     println!("{}", ablation_prediction_noise(scale, &[0.0, 0.25, 0.5, 1.0, 2.0], &opts).to_text());
-    println!("{}", ablation_guide_objective(scale, &opts).to_text());
+    println!("{}", ablation_guide_objective(scale).to_text());
 }
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {

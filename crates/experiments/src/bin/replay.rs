@@ -19,10 +19,7 @@
 //! Runs the selected algorithms (default: all five; the flow-backed batch
 //! policies `batch-mf` / `batch-hun` must be named explicitly) over the
 //! trace via `Trace::into_scenario` + `ReplayConfig` — predictions are the
-//! trace's realised counts, through the same canonical
-//! `SpatioTemporalMatrix::from_arrivals` derivation that
-//! `ftoa_core::ReplayDriver` (the single-policy library entry point) uses —
-//! and writes a `ftoa-replay-metrics v1` JSON document to `--out` (stdout if
+//! trace's realised counts (`Scenario::actual_counts`) — and writes a `ftoa-replay-metrics v1` JSON document to `--out` (stdout if
 //! omitted). Replaying a v2 trace additionally reports each algorithm's
 //! `capacity_utilisation` against the stream's total worker capacity.
 //! `--threads N` fans the algorithm cells over N workers of the

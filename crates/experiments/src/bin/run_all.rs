@@ -53,7 +53,7 @@ fn main() {
     println!("{}", table5.to_text());
 
     println!("{}", figures::ablation_prediction_noise(scale, &[0.0, 0.5, 1.0], &opts).to_text());
-    println!("{}", figures::ablation_guide_objective(scale, &opts).to_text());
+    println!("{}", figures::ablation_guide_objective(scale).to_text());
 }
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {

@@ -280,8 +280,8 @@ pub fn ablation_prediction_noise(
 
 /// Ablation: guide objective (plain max-cardinality vs. min-cost
 /// max-cardinality) — the paper's note in Section 4 about adding travel costs.
-pub fn ablation_guide_objective(object_scale: f64, opts: &SuiteOptions) -> SweepReport {
-    use ftoa_core::{GuideEngine, GuideObjective, Instance, OfflineGuide, Polar, PolarOp};
+pub fn ablation_guide_objective(object_scale: f64) -> SweepReport {
+    use ftoa_core::{GuideObjective, Instance, OfflineGuide, Polar, PolarOp};
     let scenario = default_synthetic(object_scale).generate(BASE_SEED + 777);
     let instance = Instance::new(
         &scenario.config,
@@ -299,17 +299,9 @@ pub fn ablation_guide_objective(object_scale: f64, opts: &SuiteOptions) -> Sweep
             &scenario.predicted_workers,
             &scenario.predicted_tasks,
             objective,
-            GuideEngine::Dinic,
         );
-        let polar =
-            Polar { objective, strict_feasibility: opts.strict_feasibility, ..Polar::default() }
-                .run_with_guide(&instance, &guide);
-        let polar_op = PolarOp {
-            objective,
-            strict_feasibility: opts.strict_feasibility,
-            ..PolarOp::default()
-        }
-        .run_with_guide(&instance, &guide);
+        let polar = Polar::default().run_with_guide(&instance, &guide);
+        let polar_op = PolarOp::default().run_with_guide(&instance, &guide);
         report.record(label, &[polar, polar_op]);
     }
     report
@@ -387,7 +379,7 @@ mod tests {
 
     #[test]
     fn guide_objective_ablation_reports_both_objectives() {
-        let report = ablation_guide_objective(0.01, &tiny_opts());
+        let report = ablation_guide_objective(0.01);
         assert_eq!(report.len(), 2);
         assert_eq!(report.algorithms, vec!["POLAR".to_string(), "POLAR-OP".to_string()]);
     }

@@ -2,14 +2,16 @@
 //! (scenario × algorithm) cells in parallel.
 //!
 //! Every algorithm is driven through the shared
-//! [`ftoa_core::SimulationEngine`]; [`SuiteOptions::index_backend`] selects
-//! the candidate-index backend (linear-scan reference, grid index or
-//! KD-tree) for the whole suite, and [`SuiteOptions::threads`] fans the
-//! cells out through the deterministic [`ftoa_runtime::JobPool`]. Each cell
-//! is a pure function of its scenario, so results are identical — and sweep
-//! CSVs / replay metrics byte-identical — at any thread count; the offline
-//! guide of each scenario is built exactly once (first POLAR-family cell to
-//! arrive) and shared through a [`std::sync::OnceLock`].
+//! [`ftoa_core::SimulationEngine`] with its default settings: the batch
+//! policies use 3-minute windows, and POLAR and POLAR-OP verify physical
+//! feasibility before they commit. [`SuiteOptions::index_backend`] selects
+//! the candidate-index backend for the whole suite, and
+//! [`SuiteOptions::threads`] fans the cells out through the deterministic
+//! [`ftoa_runtime::JobPool`]. Each cell is a pure function of its scenario,
+//! so results are identical — and sweep CSVs / replay metrics
+//! byte-identical — at any thread count; the offline guide of each scenario
+//! is built exactly once (first POLAR-family cell to arrive) and shared
+//! through a [`std::sync::OnceLock`].
 
 use ftoa_core::algorithms::OptMode;
 use ftoa_core::{
@@ -28,10 +30,6 @@ pub struct SuiteOptions {
     pub include_opt: bool,
     /// How OPT is solved.
     pub opt_mode: OptMode,
-    /// GR batching window in minutes.
-    pub gr_window_minutes: f64,
-    /// Verify physical feasibility when POLAR / POLAR-OP commit assignments.
-    pub strict_feasibility: bool,
     /// Candidate-index backend used by the simulation engine.
     pub index_backend: IndexBackend,
     /// Concurrency of the (scenario × algorithm) cell fan-out: `1` runs
@@ -47,8 +45,6 @@ impl Default for SuiteOptions {
         Self {
             include_opt: true,
             opt_mode: OptMode::Exact,
-            gr_window_minutes: 3.0,
-            strict_feasibility: true,
             index_backend: IndexBackend::Grid,
             threads: 1,
         }
@@ -261,10 +257,7 @@ pub fn run_matrix(
         let engine = SimulationEngine::new(opts.index_backend);
         match algo {
             Algo::SimpleGreedy => engine.run(&instance, &mut SimpleGreedy.policy()),
-            Algo::Gr => engine.run(
-                &instance,
-                &mut BatchGreedy { window_minutes: opts.gr_window_minutes }.policy(),
-            ),
+            Algo::Gr => engine.run(&instance, &mut BatchGreedy::default().policy()),
             Algo::Polar | Algo::PolarOp => {
                 let (guide, preprocessing) = guides[si].get_or_init(|| {
                     let clock = Stopwatch::start();
@@ -276,28 +269,16 @@ pub fn run_matrix(
                     (guide, clock.elapsed())
                 });
                 let mut result = if algo == Algo::Polar {
-                    let polar =
-                        Polar { strict_feasibility: opts.strict_feasibility, ..Polar::default() };
-                    engine.run(&instance, &mut polar.policy(&instance, guide))
+                    engine.run(&instance, &mut Polar::default().policy(&instance, guide))
                 } else {
-                    let polar_op = PolarOp {
-                        strict_feasibility: opts.strict_feasibility,
-                        ..PolarOp::default()
-                    };
-                    engine.run(&instance, &mut polar_op.policy(&instance, guide))
+                    engine.run(&instance, &mut PolarOp::default().policy(&instance, guide))
                 };
                 result.preprocessing = *preprocessing;
                 result
             }
             Algo::Opt => engine.run(&instance, &mut Opt { mode: opts.opt_mode }.policy()),
-            Algo::BatchMaxFlow => engine.run(
-                &instance,
-                &mut BatchMaxFlow { window_minutes: opts.gr_window_minutes }.policy(),
-            ),
-            Algo::BatchHungarian => engine.run(
-                &instance,
-                &mut BatchHungarian { window_minutes: opts.gr_window_minutes }.policy(),
-            ),
+            Algo::BatchMaxFlow => engine.run(&instance, &mut BatchMaxFlow::default().policy()),
+            Algo::BatchHungarian => engine.run(&instance, &mut BatchHungarian::default().policy()),
         }
     });
 

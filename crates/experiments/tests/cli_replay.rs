@@ -8,7 +8,8 @@
 //! `--threads N` produces byte-identical deterministic metrics at every N.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn replay() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_replay"));
@@ -153,4 +154,51 @@ fn oversized_trace_header_is_a_line_numbered_error() {
         assert!(err.contains("(slot, cell) types"), "`{edit}`: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An event time far outside the slot horizon is a line-numbered trace
+/// error (exit 1). Unchecked, the weighted fixture with its first event at
+/// `-1e12` makes GR and BATCH-MF solve one empty round per 3-minute window
+/// across the gap, so the run never finishes.
+#[test]
+fn far_event_time_is_a_line_numbered_error_not_a_hang() {
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../traces/fixture_weighted.trace");
+    let text = std::fs::read_to_string(fixture).unwrap();
+    let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+    let mut fields: Vec<&str> = lines[7].split(' ').collect();
+    assert_eq!(fields[0], "w", "line 8 is the first event");
+    fields[2] = "-1e12";
+    lines[7] = fields.join(" ");
+    let dir = std::env::temp_dir().join(format!("ftoa-cli-far-event-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("far_event.trace");
+    std::fs::write(&path, lines.join("\n")).unwrap();
+
+    let mut child = replay()
+        .args([
+            "--trace".as_ref(),
+            path.as_os_str(),
+            "--algo".as_ref(),
+            "gr,batch-mf".as_ref(),
+            "--deterministic-only".as_ref(),
+        ])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            child.kill().ok();
+            panic!("replay still running after 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let out = child.wait_with_output().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
+    let err = stderr_of(&out);
+    assert!(err.contains("trace line 8:"), "got: {err}");
+    assert!(err.contains("-1000000000000") && err.contains("[-180, 360]"), "got: {err}");
 }

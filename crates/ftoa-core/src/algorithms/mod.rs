@@ -31,29 +31,6 @@ pub trait OnlineAlgorithm {
     fn run(&self, instance: &Instance<'_>) -> AlgorithmResult;
 }
 
-/// Returns the full list of compared algorithms with their default settings,
-/// in the order the paper's legends use.
-pub fn default_algorithm_suite() -> Vec<Box<dyn OnlineAlgorithm>> {
-    vec![
-        Box::new(SimpleGreedy),
-        Box::new(BatchGreedy::default()),
-        Box::new(Polar::default()),
-        Box::new(PolarOp::default()),
-        Box::new(Opt::default()),
-    ]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn suite_lists_the_papers_five_algorithms() {
-        let names: Vec<&str> = default_algorithm_suite().iter().map(|a| a.name()).collect();
-        assert_eq!(names, vec!["SimpleGreedy", "GR", "POLAR", "POLAR-OP", "OPT"]);
-    }
-}
-
 /// Shared fixtures for algorithm tests: the paper's running example
 /// (Example 1 / Table 1 / Figure 1).
 #[cfg(test)]

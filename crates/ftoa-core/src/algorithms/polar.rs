@@ -23,7 +23,7 @@ use crate::algorithms::OnlineAlgorithm;
 use crate::engine::clock::Stopwatch;
 use crate::engine::context::{AssignmentDecision, EngineContext};
 use crate::engine::driver::{OnlinePolicy, SimulationEngine};
-use crate::guide::{GuideEngine, GuideObjective, OfflineGuide};
+use crate::guide::{GuideObjective, OfflineGuide};
 use crate::instance::Instance;
 use crate::memory::vec_bytes;
 use crate::movement::WorkerPlan;
@@ -36,19 +36,13 @@ use std::ops::Range;
 pub struct Polar {
     /// Objective of the offline guide.
     pub objective: GuideObjective,
-    /// Max-flow engine used to build the guide.
-    pub engine: GuideEngine,
     /// Verify real-world feasibility before committing an assignment.
     pub strict_feasibility: bool,
 }
 
 impl Default for Polar {
     fn default() -> Self {
-        Self {
-            objective: GuideObjective::MaxCardinality,
-            engine: GuideEngine::Dinic,
-            strict_feasibility: true,
-        }
+        Self { objective: GuideObjective::MaxCardinality, strict_feasibility: true }
     }
 }
 
@@ -194,7 +188,6 @@ impl OnlineAlgorithm for Polar {
             instance.predicted_workers,
             instance.predicted_tasks,
             self.objective,
-            self.engine,
         );
         let preprocessing = pre_start.elapsed();
         let mut result = self.run_with_guide(instance, &guide);

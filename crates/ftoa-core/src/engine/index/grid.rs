@@ -16,8 +16,8 @@
 //! The scan semantics — ring order, bounding-box bucket selection, and what
 //! counts as an *examined* candidate (every entry of every *non-empty*
 //! visited bucket; empty buckets contribute nothing, so skipping them is
-//! invisible) — reproduce [`spatial::GridBucketIndex`] exactly; the golden
-//! replay metrics pin this backend's counters byte for byte.
+//! invisible) — are fixed: the golden replay metrics pin this backend's
+//! counters byte for byte.
 
 use crate::engine::arena::ItemArena;
 use crate::engine::index::CandidateIndex;
@@ -275,10 +275,12 @@ impl<T: SpatialItem> CandidateIndex<T> for GridCandidateIndex<T> {
                 }
             }
             let mut any_bucket_in_ring = false;
-            // The square ring at Chebyshev distance `ring`, visited in the
-            // same order as `spatial::GridBucketIndex`: top row, bottom row,
-            // then the left/right columns — clipped to the grid, without
-            // materialising the coordinate list.
+            // The square ring at Chebyshev distance `ring`, clipped to the
+            // grid and visited without materialising the coordinate list:
+            // for each column from `qx - r` to `qx + r`, its bucket in row
+            // `qy - r` and then its bucket in row `qy + r`; then for each
+            // row from `qy - r + 1` to `qy + r - 1`, its bucket in column
+            // `qx - r` and then its bucket in column `qx + r`.
             let (qx, qy, r) = (qbx as isize, qby as isize, ring as isize);
             let mut visit_bucket = |this: &Self, bx: isize, by: isize| -> bool {
                 if bx < 0 || by < 0 || bx as usize >= this.nx || by as usize >= this.ny {

@@ -1,8 +1,7 @@
-//! The KD-tree backend: a static [`spatial::KdTree`] made dynamic through
-//! epoch rebuilds.
+//! The KD-tree backend: the crate's static `KdTree` (module `kdtree`) made
+//! dynamic through epoch rebuilds.
 //!
-//! The KD-tree in the `spatial` crate is build-once (it was originally used
-//! for per-batch snapshots), but the engine's pools mutate on every event.
+//! The KD-tree is build-once, but the engine's pools mutate on every event.
 //! This wrapper bridges the gap the classic way:
 //!
 //! * **removals tombstone**: tree payloads are arena `(slot, generation)`
@@ -30,9 +29,9 @@ use crate::engine::arena::ItemArena;
 use crate::engine::index::CandidateIndex;
 use crate::engine::item::SpatialItem;
 use crate::engine::kernels;
+use crate::kdtree::KdTree;
 use crate::memory::vec_bytes;
 use ftoa_types::{Candidate, Location, PoolHandle};
-use spatial::KdTree;
 use std::marker::PhantomData;
 
 /// Rebuild once the dirty work exceeds `REBUILD_BASE + live / 8`: the
@@ -281,7 +280,7 @@ impl<T: SpatialItem> CandidateIndex<T> for KdCandidateIndex<T> {
 
     fn structure_bytes(&self) -> usize {
         // Fresh buffer + tree points and nodes (the node layout is private
-        // to `spatial`; approximate it with one pointer-and-axis record per
+        // to `kdtree`; approximate it with one pointer-and-axis record per
         // stored point).
         vec_bytes::<f64>(self.fresh_xs.capacity())
             + vec_bytes::<f64>(self.fresh_ys.capacity())
@@ -397,11 +396,11 @@ mod tests {
         // 64 inserts are far past the rebuild threshold (8 + len/8), but no
         // query has run yet: the mutation path never rebuilds.
         assert_eq!(kd.dirty(), 64, "inserts alone must not trigger a rebuild");
-        assert!(kd.tree.is_empty(), "the tree is untouched until a query needs it");
+        assert_eq!(kd.tree.len(), 0, "the tree is untouched until a query needs it");
         // The first query pays the rebuild and resets the dirty bookkeeping.
         let hit = kd.nearest_within(&arena, &Location::new(0.0, 0.0), f64::INFINITY, &mut |_| true);
         assert!(hit.is_some());
         assert!(kd.dirty() <= REBUILD_BASE + arena.len() / 8);
-        assert!(!kd.tree.is_empty(), "the query-time rebuild moved fresh entries into the tree");
+        assert!(kd.tree.len() > 0, "the query-time rebuild moved fresh entries into the tree");
     }
 }

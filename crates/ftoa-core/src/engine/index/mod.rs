@@ -16,7 +16,7 @@
 //!   struct-of-arrays: nearest queries expand ring by ring, range queries
 //!   touch only overlapping buckets, each bucket scanned by the kernels.
 //! * [`KdCandidateIndex`] (`kd.rs`) — an epoch-rebuild wrapper around the
-//!   static [`spatial::KdTree`]: removals tombstone via arena generations,
+//!   crate's static KD-tree: removals tombstone via arena generations,
 //!   inserts buffer until a dirty threshold triggers a rebuild.
 //! * [`HybridCandidateIndex`] (`hybrid.rs`) — maintains grid *and* KD-tree
 //!   and routes each query by coarse-region occupancy: dense regions to the

@@ -26,8 +26,8 @@
 //! * [`index`] — the [`index::CandidateIndex`] trait plus its four backends: the
 //!   exhaustive [`index::LinearScanIndex`] (reference/oracle), the struct-of-arrays
 //!   [`index::GridCandidateIndex`] with ring and reachable-disk range queries, the
-//!   [`index::KdCandidateIndex`] epoch-rebuild wrapper around the static
-//!   [`spatial::KdTree`], and the adaptive [`index::HybridCandidateIndex`] routing
+//!   [`index::KdCandidateIndex`] epoch-rebuild wrapper around a static
+//!   KD-tree, and the adaptive [`index::HybridCandidateIndex`] routing
 //!   each query to grid or tree by coarse-region density. The engine holds
 //!   the selection in the monomorphised [`index::EngineIndex`] enum — a four-way
 //!   match on the hot path instead of a virtual call;

@@ -35,7 +35,7 @@
 //! [`OfflineGuide::type_index`].
 
 use flow::min_cost::{min_cost_max_flow, McmfNetwork};
-use flow::{dinic, edmonds_karp, FlowNetwork};
+use flow::{dinic, FlowNetwork};
 use ftoa_types::{CellId, ProblemConfig, SlotId, TimeStamp, TypeKey};
 use prediction::SpatioTemporalMatrix;
 use std::ops::Range;
@@ -49,16 +49,6 @@ pub enum GuideObjective {
     /// Maximum cardinality with minimum total travel time as a tie-breaker
     /// (the paper's remark about using a mincost-maxflow solver).
     MinCostMaxCardinality,
-}
-
-/// Which max-flow engine backs the cardinality objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GuideEngine {
-    /// Dinic's algorithm (default; fastest on these unit-ish networks).
-    #[default]
-    Dinic,
-    /// BFS Ford–Fulkerson, exactly as cited in the paper.
-    EdmondsKarp,
 }
 
 /// One predicted node of the guide (either side).
@@ -90,28 +80,21 @@ pub struct OfflineGuide {
 }
 
 impl OfflineGuide {
-    /// Build the guide with the default objective and engine.
+    /// Build the guide with the default objective.
     pub fn build(
         config: &ProblemConfig,
         predicted_workers: &SpatioTemporalMatrix,
         predicted_tasks: &SpatioTemporalMatrix,
     ) -> Self {
-        Self::build_with(
-            config,
-            predicted_workers,
-            predicted_tasks,
-            GuideObjective::MaxCardinality,
-            GuideEngine::Dinic,
-        )
+        Self::build_with(config, predicted_workers, predicted_tasks, GuideObjective::MaxCardinality)
     }
 
-    /// Build the guide with an explicit objective and engine.
+    /// Build the guide with an explicit objective.
     pub fn build_with(
         config: &ProblemConfig,
         predicted_workers: &SpatioTemporalMatrix,
         predicted_tasks: &SpatioTemporalMatrix,
         objective: GuideObjective,
-        engine: GuideEngine,
     ) -> Self {
         let worker_counts = predicted_workers.round_preserving_total();
         let task_counts = predicted_tasks.round_preserving_total();
@@ -122,7 +105,7 @@ impl OfflineGuide {
 
         // Solve the type-level matching.
         let pair_flows = match objective {
-            GuideObjective::MaxCardinality => solve_cardinality(config, &left, &right, engine),
+            GuideObjective::MaxCardinality => solve_cardinality(config, &left, &right),
             GuideObjective::MinCostMaxCardinality => solve_min_cost(config, &left, &right),
         };
 
@@ -367,14 +350,13 @@ fn band(c: usize, span: f64, n: usize) -> Range<usize> {
     c.saturating_sub(reach)..(c + reach + 1).min(n)
 }
 
-/// Solve the type-level maximum-cardinality matching with a max-flow engine.
+/// Solve the type-level maximum-cardinality matching with Dinic's max-flow.
 /// The feasible pairs stream straight into the network. Returns
 /// `(left index, right index, matched pairs)` triples in enumeration order.
 fn solve_cardinality(
     config: &ProblemConfig,
     left: &[(usize, usize)],
     right: &[(usize, usize)],
-    engine: GuideEngine,
 ) -> Vec<(usize, usize, usize)> {
     let source = 0usize;
     let left_base = 1usize;
@@ -391,10 +373,7 @@ fn solve_cardinality(
         let cap = left[li].1.min(right[ri].1) as i64;
         net.add_edge(left_base + li, right_base + ri, cap);
     });
-    match engine {
-        GuideEngine::Dinic => dinic(&mut net, source, sink),
-        GuideEngine::EdmondsKarp => edmonds_karp(&mut net, source, sink),
-    };
+    dinic(&mut net, source, sink);
     net.iter_forward_edges()
         .skip(left.len() + right.len())
         .filter(|&(_, _, _, f)| f > 0)
@@ -494,30 +473,13 @@ mod tests {
 
     #[test]
     fn engines_and_objectives_agree_on_cardinality() {
+        // Dinic (the cardinality objective) and min-cost max-flow (the
+        // min-cost objective) must find the same maximum.
         let config = example_config();
         let (pw, pt) = example_prediction();
-        let dinic_guide = OfflineGuide::build_with(
-            &config,
-            &pw,
-            &pt,
-            GuideObjective::MaxCardinality,
-            GuideEngine::Dinic,
-        );
-        let ek_guide = OfflineGuide::build_with(
-            &config,
-            &pw,
-            &pt,
-            GuideObjective::MaxCardinality,
-            GuideEngine::EdmondsKarp,
-        );
-        let mc_guide = OfflineGuide::build_with(
-            &config,
-            &pw,
-            &pt,
-            GuideObjective::MinCostMaxCardinality,
-            GuideEngine::Dinic,
-        );
-        assert_eq!(dinic_guide.matching_size(), ek_guide.matching_size());
+        let dinic_guide = OfflineGuide::build(&config, &pw, &pt);
+        let mc_guide =
+            OfflineGuide::build_with(&config, &pw, &pt, GuideObjective::MinCostMaxCardinality);
         assert_eq!(dinic_guide.matching_size(), mc_guide.matching_size());
     }
 

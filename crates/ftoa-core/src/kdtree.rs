@@ -1,8 +1,9 @@
 //! Static 2-D KD-tree for nearest-neighbour queries.
 //!
-//! Built once over a point set (e.g. all pending tasks of a batch window in
-//! the GR baseline) and queried many times. Supports exact nearest-neighbour
-//! and filtered nearest-neighbour search.
+//! Built once over a point set and queried many times: exact filtered
+//! nearest-neighbour search inside a radius, and radius range queries. The
+//! engine's [`crate::engine::index::KdCandidateIndex`] backend is its one
+//! user; it makes the tree dynamic through epoch rebuilds.
 
 use ftoa_types::Location;
 
@@ -67,27 +68,9 @@ impl<T> KdTree<T> {
         self.points.len()
     }
 
-    /// Is the tree empty?
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Exact nearest neighbour of `query`. Returns `(location, payload,
-    /// distance)`.
-    pub fn nearest(&self, query: &Location) -> Option<(&Location, &T, f64)> {
-        self.nearest_where(query, |_, _| true)
-    }
-
-    /// Exact nearest neighbour among points accepted by `feasible`.
-    pub fn nearest_where<F>(&self, query: &Location, feasible: F) -> Option<(&Location, &T, f64)>
-    where
-        F: FnMut(&T, &Location) -> bool,
-    {
-        self.nearest_within_where(query, f64::INFINITY, feasible)
-    }
-
     /// Exact nearest neighbour within `max_radius` of `query` (inclusive)
-    /// among points accepted by `feasible`.
+    /// among points accepted by `feasible`. Returns `(location, payload,
+    /// distance)`.
     ///
     /// The radius seeds the branch-pruning bound *before* any candidate is
     /// found, so a query with no feasible point inside the disk terminates
@@ -185,6 +168,7 @@ impl<T> KdTree<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn grid_points() -> Vec<(Location, usize)> {
         let mut pts = Vec::new();
@@ -201,8 +185,8 @@ mod tests {
     #[test]
     fn empty_tree_returns_none() {
         let t: KdTree<usize> = KdTree::build(vec![]);
-        assert!(t.is_empty());
-        assert!(t.nearest(&Location::ORIGIN).is_none());
+        assert_eq!(t.len(), 0);
+        assert!(t.nearest_within_where(&Location::ORIGIN, f64::INFINITY, |_, _| true).is_none());
         assert!(t.within_radius(&Location::ORIGIN, 10.0).is_empty());
     }
 
@@ -210,7 +194,8 @@ mod tests {
     fn nearest_on_grid_points() {
         let t = KdTree::build(grid_points());
         assert_eq!(t.len(), 100);
-        let (loc, _, d) = t.nearest(&Location::new(3.2, 6.9)).unwrap();
+        let (loc, _, d) =
+            t.nearest_within_where(&Location::new(3.2, 6.9), f64::INFINITY, |_, _| true).unwrap();
         assert_eq!(*loc, Location::new(3.0, 7.0));
         assert!((d - (0.04f64 + 0.01).sqrt()).abs() < 1e-9);
     }
@@ -226,7 +211,7 @@ mod tests {
             Location::new(0.49, 8.51),
         ] {
             let brute = pts.iter().map(|(l, _)| q.distance(l)).fold(f64::INFINITY, f64::min);
-            let (_, _, d) = t.nearest(&q).unwrap();
+            let (_, _, d) = t.nearest_within_where(&q, f64::INFINITY, |_, _| true).unwrap();
             assert!((d - brute).abs() < 1e-9, "query {q}");
         }
     }
@@ -234,11 +219,12 @@ mod tests {
     #[test]
     fn filtered_nearest_skips_infeasible_points() {
         let t = KdTree::build(grid_points());
-        // Only points with even payload are feasible.
-        let (_, &payload, _) =
-            t.nearest_where(&Location::new(0.1, 0.1), |&p, _| p % 2 == 1).unwrap();
+        // Only points with odd payload are feasible.
+        let (_, &payload, _) = t
+            .nearest_within_where(&Location::new(0.1, 0.1), f64::INFINITY, |&p, _| p % 2 == 1)
+            .unwrap();
         assert_eq!(payload % 2, 1);
-        assert!(t.nearest_where(&Location::ORIGIN, |_, _| false).is_none());
+        assert!(t.nearest_within_where(&Location::ORIGIN, f64::INFINITY, |_, _| false).is_none());
     }
 
     #[test]
@@ -271,7 +257,7 @@ mod tests {
             false // feasibility never satisfied: the worst case for pruning
         });
         let mut visited_unbounded = 0usize;
-        let _ = t.nearest_where(&Location::new(5.1, 5.1), |_, _| {
+        let _ = t.nearest_within_where(&Location::new(5.1, 5.1), f64::INFINITY, |_, _| {
             visited_unbounded += 1;
             false
         });
@@ -299,8 +285,77 @@ mod tests {
             (Location::new(2.0, 2.0), 2),
         ];
         let t = KdTree::build(pts);
-        let (_, _, d) = t.nearest(&Location::new(1.0, 1.0)).unwrap();
+        let (_, _, d) =
+            t.nearest_within_where(&Location::new(1.0, 1.0), f64::INFINITY, |_, _| true).unwrap();
         assert_eq!(d, 0.0);
         assert_eq!(t.within_radius(&Location::new(1.0, 1.0), 0.1).len(), 2);
+    }
+
+    fn points_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
+        proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0), 1..120)
+    }
+
+    fn tree_of(pts: &[(f64, f64)]) -> KdTree<usize> {
+        KdTree::build(pts.iter().enumerate().map(|(i, &(x, y))| (Location::new(x, y), i)).collect())
+    }
+
+    /// Distance from `q` to the nearest point whose index `keep` accepts.
+    fn brute_nearest(pts: &[(f64, f64)], q: &Location, keep: impl Fn(usize) -> bool) -> f64 {
+        pts.iter()
+            .enumerate()
+            .filter(|&(i, _)| keep(i))
+            .map(|(_, &(x, y))| q.distance(&Location::new(x, y)))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn kdtree_nearest_matches_brute_force(
+            pts in points_strategy(),
+            qx in -10.0f64..110.0,
+            qy in -10.0f64..110.0,
+        ) {
+            let q = Location::new(qx, qy);
+            let (_, _, d) =
+                tree_of(&pts).nearest_within_where(&q, f64::INFINITY, |_, _| true).unwrap();
+            let brute = brute_nearest(&pts, &q, |_| true);
+            prop_assert!((d - brute).abs() < 1e-9);
+        }
+
+        #[test]
+        fn kdtree_radius_query_matches_brute_force(
+            pts in points_strategy(),
+            qx in 0.0f64..100.0,
+            qy in 0.0f64..100.0,
+            radius in 0.0f64..60.0,
+        ) {
+            let q = Location::new(qx, qy);
+            let found = tree_of(&pts).within_radius(&q, radius).len();
+            let brute = pts
+                .iter()
+                .filter(|&&(x, y)| q.distance(&Location::new(x, y)) <= radius)
+                .count();
+            prop_assert_eq!(found, brute);
+        }
+
+        #[test]
+        fn kdtree_filtered_nearest_matches_brute_force(
+            pts in points_strategy(),
+            qx in 0.0f64..100.0,
+            qy in 0.0f64..100.0,
+            modulus in 2usize..5,
+        ) {
+            let q = Location::new(qx, qy);
+            let kd = tree_of(&pts)
+                .nearest_within_where(&q, f64::INFINITY, |&p, _| p % modulus == 0)
+                .map(|(_, _, d)| d);
+            let brute = brute_nearest(&pts, &q, |i| i % modulus == 0);
+            match kd {
+                Some(d) => prop_assert!((d - brute).abs() < 1e-9, "kd {} vs brute {}", d, brute),
+                None => prop_assert!(brute.is_infinite(), "kd found nothing, brute {}", brute),
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! FTOA online task assignment: the paper's primary contribution.
 //!
 //! This crate contains the two-step framework of the paper on top of the
-//! `flow`, `spatial` and `prediction` substrates:
+//! `flow` and `prediction` substrates:
 //!
 //! * [`guide`] — offline guide generation (Algorithm 1): predicted counts →
 //!   bipartite graph → maximum matching (max-flow).
@@ -22,9 +22,6 @@
 //!   reference, grid-index, epoch-rebuild KD-tree, and an adaptive hybrid
 //!   that routes queries by local density). Each run is serial: one event
 //!   at a time on one thread, so output never depends on a thread count.
-//! * [`replay`] — the trace-replay entry point: derives realised
-//!   per-slot/per-cell counts from a recorded stream and drives any policy
-//!   over it through the unchanged engine.
 //! * [`movement`] — the worker movement model used when the platform guides a
 //!   worker to another grid area.
 //! * [`instance`] / [`result`] — the common input/output types of all
@@ -34,9 +31,9 @@ pub mod algorithms;
 pub mod engine;
 pub mod guide;
 pub mod instance;
+mod kdtree;
 pub mod memory;
 pub mod movement;
-pub mod replay;
 pub mod result;
 
 pub use algorithms::{
@@ -51,7 +48,6 @@ pub use engine::index::{
     KdCandidateIndex, LinearScanIndex,
 };
 pub use engine::item::SpatialItem;
-pub use guide::{GuideEngine, GuideNode, GuideObjective, OfflineGuide};
+pub use guide::{GuideNode, GuideObjective, OfflineGuide};
 pub use instance::Instance;
-pub use replay::{stream_counts, ReplayDriver, ReplayDriverBuilder};
 pub use result::{AlgorithmResult, EngineStats};

@@ -31,10 +31,9 @@ impl SpatioTemporalMatrix {
     /// Count a sequence of `(time, location)` arrivals into per-slot/per-cell
     /// bins: the *realised* counterpart of a predicted count matrix.
     ///
-    /// This is the one canonical derivation of realised counts — scenario
-    /// ground-truth counts (`workload::Scenario::actual_counts`) and trace
-    /// replay predictions (`ftoa_core::stream_counts`) both delegate here, so
-    /// the two can never diverge.
+    /// This is the one canonical derivation of realised counts: scenario
+    /// ground-truth counts (`workload::Scenario::actual_counts`) delegate
+    /// here, and a replayed trace's predictions are those counts.
     pub fn from_arrivals<I>(slots: &SlotPartition, grid: &GridPartition, arrivals: I) -> Self
     where
         I: IntoIterator<Item = (TimeStamp, Location)>,

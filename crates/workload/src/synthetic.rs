@@ -123,10 +123,9 @@ impl Default for SyntheticConfig {
 
 impl SyntheticConfig {
     /// The ~100k-event scalability preset: 50,000 workers and 50,000 tasks on
-    /// the default Table 4 configuration. This is the scenario the
-    /// `bench_candidate_index` benchmark and the engine's index-backend
-    /// comparisons run on — large enough that linear candidate scans are
-    /// visibly quadratic while grid-index range queries stay near-linear.
+    /// the default Table 4 configuration — large enough that linear
+    /// candidate scans are visibly quadratic while grid-index range queries
+    /// stay near-linear.
     pub fn scalability() -> Self {
         Self { num_workers: 50_000, num_tasks: 50_000, ..Self::default() }
     }

@@ -30,10 +30,13 @@
 //! All five `config` lines are required (in any order, before the first
 //! event). A header may declare at most [`MAX_TRACE_TYPES`] (2^24)
 //! `(slot, cell)` types, `num_slots × nx × ny`; the `grid` or `slots` line
-//! that crosses the cap is rejected.
+//! that crosses the cap is rejected. The slot start and slot length must be
+//! finite.
 //!
 //! Event lines appear in arrival-time order, as a log would record
-//! them; ids are the dense 0-based ids of the stream, each appearing exactly
+//! them. Every event time lies in `[start − H, end + H]`, where
+//! `[start, end)` is the slot horizon and `H = end − start` its length.
+//! Ids are the dense 0-based ids of the stream, each appearing exactly
 //! once, so the reader reconstructs the exact worker/task numbering — and
 //! therefore the exact engine behaviour — of the captured stream. Floats are
 //! printed with Rust's shortest round-trip formatting, so `write → read` is
@@ -69,6 +72,7 @@ use ftoa_types::{
 use prediction::SpatioTemporalMatrix;
 use std::fmt;
 use std::io::{self, BufRead, BufReader, Read, Write};
+use std::ops::RangeInclusive;
 use std::path::Path;
 
 /// The magic line the writer emits (the current format version).
@@ -328,6 +332,15 @@ impl HeaderBuilder {
     }
 }
 
+/// The event times a trace may carry: the slot horizon `[start, end)`
+/// widened by its own length `H` on each side. Times outside the horizon
+/// fall into the edge slots by design, but one far outside it would make a
+/// batch policy solve one empty round per window across the gap.
+fn event_time_bounds(slots: &SlotPartition) -> RangeInclusive<f64> {
+    let horizon = slots.horizon().as_minutes();
+    (slots.start().as_minutes() - horizon)..=(slots.end().as_minutes() + horizon)
+}
+
 /// Streaming reader for the trace text format (v2, plus legacy v1).
 ///
 /// Lines are consumed one at a time from any [`BufRead`] source — the whole
@@ -375,6 +388,7 @@ impl TraceReader {
         let mut config: Option<ProblemConfig> = None;
         let mut workers: Vec<(usize, usize, Worker)> = Vec::new();
         let mut tasks: Vec<(usize, usize, Task)> = Vec::new();
+        let mut time_bounds = 0.0..=0.0;
         let mut last_time: Option<f64> = None;
         let mut line_no = 1usize;
         for line in lines {
@@ -394,11 +408,24 @@ impl TraceReader {
                 }
                 "w" | "t" => {
                     if config.is_none() {
-                        config =
-                            Some(header.take().expect("header taken only once").build(line_no)?);
+                        let built =
+                            header.take().expect("header taken only once").build(line_no)?;
+                        time_bounds = event_time_bounds(&built.slots);
+                        config = Some(built);
                     }
                     let time =
                         parse_event_line(version, &fields, line_no, &mut workers, &mut tasks)?;
+                    if !time_bounds.contains(&time) {
+                        return Err(TraceError::parse(
+                            line_no,
+                            format!(
+                                "event timestamp {time} is outside [{}, {}], the slot horizon \
+                                 widened by its own length on each side",
+                                time_bounds.start(),
+                                time_bounds.end()
+                            ),
+                        ));
+                    }
                     // Arrival order is part of the format, not a convention:
                     // a log records events as they happen, so a timestamp
                     // running backwards means the file was corrupted or
@@ -471,11 +498,14 @@ fn parse_config_line(
         }
         "slots" => {
             expect_args(3)?;
-            builder.slots = Some((
-                parse_f64(fields[2], line)?,
-                parse_f64(fields[3], line)?,
-                parse_usize(fields[4], line)?,
-            ));
+            let (start, slot_len) = (parse_f64(fields[2], line)?, parse_f64(fields[3], line)?);
+            if !(start.is_finite() && slot_len.is_finite()) {
+                return Err(TraceError::parse(
+                    line,
+                    "`config slots` start and slot length must be finite",
+                ));
+            }
+            builder.slots = Some((start, slot_len, parse_usize(fields[4], line)?));
             builder.check_types(line)?;
         }
         "velocity" => {
@@ -941,6 +971,48 @@ mod tests {
         // Exactly at the cap is legal.
         let text = header("4096 4096", "0 15 1");
         assert!(TraceReader::read_str(&text).is_ok());
+    }
+
+    /// Event times must lie in the slot horizon widened by its own length on
+    /// each side: `[-60, 120]` for `V1_HEADER`'s `[0, 60)`. The bounds are
+    /// inclusive, and the error is line-numbered and names the time and the
+    /// bound.
+    #[test]
+    fn event_times_outside_the_widened_horizon_are_rejected() {
+        for time in [-60.0, (-60.0f64).next_up(), 120.0f64.next_down(), 120.0] {
+            let text = format!("{V1_HEADER}w 0 {time} 1 1 10 1\n");
+            assert!(TraceReader::read_str(&text).is_ok(), "time {time} is inside the bound");
+        }
+        for time in [(-60.0f64).next_down(), 120.0f64.next_up(), -1e12, 1e300] {
+            let text = format!("{V1_HEADER}t 0 5 1 1 5 1\nw 0 {time} 1 1 10 1\n");
+            match TraceReader::read_str(&text).expect_err("must fail") {
+                TraceError::Parse { line, message } => {
+                    assert_eq!(line, 8, "{message}");
+                    assert!(message.contains(&format!("{time}")), "names the time: {message}");
+                    assert!(message.contains("[-60, 120]"), "names the bound: {message}");
+                }
+                other => panic!("expected parse error, got {other}"),
+            }
+        }
+    }
+
+    /// A non-finite slot start or slot length is rejected on the `slots`
+    /// line itself.
+    #[test]
+    fn non_finite_slot_headers_are_rejected() {
+        for slots in ["nan 15 12", "0 inf 12", "-inf 15 12", "inf 15 12", "0 NaN 12"] {
+            let text = format!(
+                "#ftoa-trace v2\nconfig region 0 0 12 12\nconfig grid 12 12\n\
+                 config slots {slots}\nconfig velocity 1\nconfig defaults 30 30\n"
+            );
+            match TraceReader::read_str(&text).expect_err("must fail") {
+                TraceError::Parse { line, message } => {
+                    assert_eq!(line, 4, "{slots}: {message}");
+                    assert!(message.contains("finite"), "{slots}: {message}");
+                }
+                other => panic!("expected parse error, got {other}"),
+            }
+        }
     }
 
     #[test]

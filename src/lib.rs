@@ -10,5 +10,4 @@ pub use ftoa_core as core_algorithms;
 pub use ftoa_runtime as runtime;
 pub use ftoa_types as types;
 pub use prediction;
-pub use spatial;
 pub use workload;

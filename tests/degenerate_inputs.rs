@@ -4,9 +4,10 @@
 //! pinned per backend next to the index tests in `engine::index`.)
 
 use ftoa::core_algorithms::{
-    AlgorithmResult, BatchGreedy, BatchMaxFlow, IndexBackend, OnlinePolicy, ReplayDriver,
-    SimpleGreedy,
+    AlgorithmResult, BatchGreedy, BatchMaxFlow, IndexBackend, Instance, OnlinePolicy, SimpleGreedy,
+    SimulationEngine,
 };
+use ftoa::prediction::SpatioTemporalMatrix;
 use ftoa::types::{
     EventStream, GridPartition, Location, ProblemConfig, SlotPartition, Task, TaskId, TimeDelta,
     TimeStamp, Worker, WorkerId,
@@ -42,7 +43,9 @@ fn run(
     backend: IndexBackend,
     policy: &mut dyn OnlinePolicy,
 ) -> AlgorithmResult {
-    ReplayDriver::builder(cfg, stream).backend(backend).build().run(cfg, stream, policy)
+    // Every policy here is prediction-free, so the predictions are zeros.
+    let zeros = SpatioTemporalMatrix::zeros(cfg.slots.num_slots(), cfg.grid.num_cells());
+    SimulationEngine::new(backend).run(&Instance::new(cfg, stream, &zeros, &zeros), policy)
 }
 
 fn gr() -> BatchGreedy {

@@ -1,9 +1,9 @@
 //! Pins the offline guide bit for bit: its matching size and an FNV-1a
 //! checksum of both partner vectors, on fixed predictions. Any change to the
-//! pair enumeration, the flow network or the max-flow engines that alters
+//! pair enumeration, the flow network or the flow solvers that alters
 //! which predicted nodes get paired shows up here.
 
-use ftoa::core_algorithms::{GuideEngine, GuideObjective, OfflineGuide};
+use ftoa::core_algorithms::{GuideObjective, OfflineGuide};
 use ftoa::prediction::SpatioTemporalMatrix;
 use ftoa::types::{BoundingBox, GridPartition, ProblemConfig, SlotPartition, TimeDelta, TimeStamp};
 use ftoa::workload::{Scenario, SyntheticConfig};
@@ -70,13 +70,9 @@ fn non_square_grid_guide_is_pinned() {
 }
 
 #[test]
-fn edmonds_karp_and_min_cost_guides_are_pinned() {
+fn min_cost_guide_is_pinned() {
     let (config, workers, tasks) = non_square(800);
-    let build = |objective, engine| {
-        pin(&OfflineGuide::build_with(&config, &workers, &tasks, objective, engine))
-    };
-    let edmonds_karp = build(GuideObjective::MaxCardinality, GuideEngine::EdmondsKarp);
-    let min_cost = build(GuideObjective::MinCostMaxCardinality, GuideEngine::Dinic);
-    assert_eq!(edmonds_karp, (392, 16_145_941_163_492_550_102));
-    assert_eq!(min_cost, (392, 3_988_965_394_474_929_655));
+    let guide =
+        OfflineGuide::build_with(&config, &workers, &tasks, GuideObjective::MinCostMaxCardinality);
+    assert_eq!(pin(&guide), (392, 3_988_965_394_474_929_655));
 }

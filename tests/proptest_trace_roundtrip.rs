@@ -8,7 +8,11 @@
 //! properties pin that down on random synthetic scenarios, including the
 //! trace-shaped presets.
 
-use ftoa::core_algorithms::{IndexBackend, ReplayDriver, SimpleGreedy};
+use ftoa::core_algorithms::{
+    AlgorithmResult, IndexBackend, Instance, SimpleGreedy, SimulationEngine,
+};
+use ftoa::prediction::SpatioTemporalMatrix;
+use ftoa::types::{EventStream, ProblemConfig};
 use ftoa::workload::{presets, Scenario, SyntheticConfig, TraceReader, TraceWriter};
 use proptest::prelude::*;
 
@@ -34,6 +38,17 @@ fn scenario_strategy(weighted: bool) -> impl Strategy<Value = Scenario> {
             .generate(seed)
         },
     )
+}
+
+/// SimpleGreedy over `stream`; it reads no prediction, so it gets zeros.
+fn simple_greedy(
+    config: &ProblemConfig,
+    stream: &EventStream,
+    backend: IndexBackend,
+) -> AlgorithmResult {
+    let zeros = SpatioTemporalMatrix::zeros(config.slots.num_slots(), config.grid.num_cells());
+    let instance = Instance::new(config, stream, &zeros, &zeros);
+    SimulationEngine::new(backend).run(&instance, &mut SimpleGreedy.policy())
 }
 
 fn round_trip(scenario: &Scenario) -> ftoa::workload::Trace {
@@ -77,14 +92,8 @@ proptest! {
     ) {
         let trace = round_trip(&scenario);
         for backend in [IndexBackend::LinearScan, IndexBackend::Grid] {
-            let original = ReplayDriver::builder(&scenario.config, &scenario.stream)
-                .backend(backend)
-                .build()
-                .run(&scenario.config, &scenario.stream, &mut SimpleGreedy.policy());
-            let replayed = ReplayDriver::builder(&trace.config, &trace.stream)
-                .backend(backend)
-                .build()
-                .run(&trace.config, &trace.stream, &mut SimpleGreedy.policy());
+            let original = simple_greedy(&scenario.config, &scenario.stream, backend);
+            let replayed = simple_greedy(&trace.config, &trace.stream, backend);
             prop_assert_eq!(original.matching_size(), replayed.matching_size());
             prop_assert_eq!(original.assignments.pairs(), replayed.assignments.pairs());
             prop_assert_eq!(original.stats, replayed.stats);
