@@ -14,8 +14,9 @@
 //! Setting `FTOA_BENCH_QUICK=1` (or passing `--quick`) shrinks the sweep so
 //! CI can execute the byte-equality check on every PR; quick runs do not
 //! overwrite `BENCH_parallel.json`.
+//!
+//! Run with: `cargo bench --bench bench_parallel_sweep`
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use experiments::figures::fig5_scalability;
 use experiments::SuiteOptions;
 use std::time::Instant;
@@ -25,7 +26,7 @@ fn quick_mode() -> bool {
         || std::env::args().any(|a| a == "--quick")
 }
 
-fn bench_parallel_sweep(c: &mut Criterion) {
+fn main() {
     let quick = quick_mode();
     // The sweep's object counts are the paper's {200k .. 1M} times this
     // scale; 0.02 keeps the serial run in tens of seconds on a laptop while
@@ -72,20 +73,4 @@ fn bench_parallel_sweep(c: &mut Criterion) {
         std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join("BENCH_parallel.json");
     std::fs::write(&out, &json).expect("write BENCH_parallel.json");
     println!("wrote {}", out.display());
-
-    // Register the parallel run with the criterion harness for the usual
-    // `cargo bench` reporting.
-    let mut group = c.benchmark_group("parallel_sweep");
-    group.sample_size(2);
-    group.bench_function("fig5_scalability/4-threads", |b| {
-        b.iter(|| fig5_scalability(object_scale, &SuiteOptions::scalability().with_threads(4)))
-    });
-    group.finish();
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default();
-    targets = bench_parallel_sweep
-}
-criterion_main!(benches);

@@ -1,9 +1,10 @@
 //! The generational struct-of-arrays arena backing the engine's live pools.
 //!
 //! Every live worker / pending task is stored once, in an [`ItemArena`]:
-//! coordinates and deadlines live in parallel `Vec<f64>`s (the layout the
+//! coordinates live in parallel `Vec<f64>`s (the layout the
 //! [`crate::engine::kernels`] distance loops consume), the full `Copy` item
-//! sits alongside in a slot vector, and freed slots are recycled through a
+//! sits alongside in a slot vector, a `u32` column holds each object's
+//! undebited matching capacity, and freed slots are recycled through a
 //! free-list so the event loop stops allocating once the pools reach their
 //! high-water mark. A [`PoolHandle`] names one insertion (slot + generation
 //! stamp); generations follow a parity convention — odd is live, even is
@@ -23,11 +24,9 @@ use ftoa_types::{Candidate, PoolHandle};
 pub struct ItemArena<T> {
     xs: Vec<f64>,
     ys: Vec<f64>,
-    deadlines: Vec<f64>,
-    payoffs: Vec<f64>,
     /// Undebited matching capacity per slot (0 on vacant slots). The engine
-    /// debits this column as assignments are committed, so index queries can
-    /// report `remaining_capacity` without a per-candidate lookup.
+    /// debits this column as assignments are committed; the items keep their
+    /// arrival-time capacity.
     remaining: Vec<u32>,
     items: Vec<Option<T>>,
     generations: Vec<u32>,
@@ -50,8 +49,6 @@ impl<T: SpatialItem> ItemArena<T> {
         Self {
             xs: Vec::with_capacity(capacity),
             ys: Vec::with_capacity(capacity),
-            deadlines: Vec::with_capacity(capacity),
-            payoffs: Vec::with_capacity(capacity),
             remaining: Vec::with_capacity(capacity),
             items: Vec::with_capacity(capacity),
             generations: Vec::with_capacity(capacity),
@@ -88,13 +85,6 @@ impl<T: SpatialItem> ItemArena<T> {
         &self.ys
     }
 
-    /// The dense payoff column (NaN on vacant slots), parallel to
-    /// [`Self::xs`] / [`Self::ys`] — the third slice the payoff-argmax
-    /// kernel consumes.
-    pub fn payoffs(&self) -> &[f64] {
-        &self.payoffs
-    }
-
     /// Insert an item, returning the handle of this insertion.
     ///
     /// Panics if an item with the same dense index is already live — the
@@ -109,16 +99,12 @@ impl<T: SpatialItem> ItemArena<T> {
             "arena already holds a live item with dense index {index}"
         );
         let location = item.item_location();
-        let deadline = item.item_deadline().as_minutes();
-        let payoff = item.item_payoff();
         let capacity = item.item_capacity();
         let slot = match self.free.pop() {
             Some(slot) => {
                 let slot = slot as usize;
                 self.xs[slot] = location.x;
                 self.ys[slot] = location.y;
-                self.deadlines[slot] = deadline;
-                self.payoffs[slot] = payoff;
                 self.remaining[slot] = capacity;
                 self.items[slot] = Some(item);
                 self.generations[slot] += 1; // even (vacant) -> odd (live)
@@ -127,8 +113,6 @@ impl<T: SpatialItem> ItemArena<T> {
             None => {
                 self.xs.push(location.x);
                 self.ys.push(location.y);
-                self.deadlines.push(deadline);
-                self.payoffs.push(payoff);
                 self.remaining.push(capacity);
                 self.items.push(Some(item));
                 self.generations.push(1);
@@ -152,8 +136,6 @@ impl<T: SpatialItem> ItemArena<T> {
         self.generations[slot] += 1; // odd (live) -> even (vacant)
         self.xs[slot] = f64::NAN;
         self.ys[slot] = f64::NAN;
-        self.deadlines[slot] = f64::NAN;
-        self.payoffs[slot] = f64::NAN;
         self.remaining[slot] = 0;
         let item = self.items[slot].take().expect("live slot holds an item");
         self.by_index[item.item_index()] = None;
@@ -209,10 +191,7 @@ impl<T: SpatialItem> ItemArena<T> {
 
     /// The deadline (minutes) behind a live handle.
     pub fn deadline_of(&self, handle: PoolHandle) -> Option<f64> {
-        if !self.is_live(handle) {
-            return None;
-        }
-        Some(self.deadlines[handle.slot() as usize])
+        self.get(handle).map(|item| item.item_deadline().as_minutes())
     }
 
     /// The undebited matching capacity behind a live handle.
@@ -240,12 +219,7 @@ impl<T: SpatialItem> ItemArena<T> {
     /// Assemble the [`Candidate`] for a currently-live slot hit by an index
     /// query at squared distance `dist_sq`.
     pub fn candidate_at_slot(&self, slot: usize, dist_sq: f64) -> Candidate {
-        Candidate {
-            handle: self.handle_at_slot(slot),
-            dist_sq,
-            payoff: self.payoffs[slot],
-            remaining_capacity: self.remaining[slot],
-        }
+        Candidate { handle: self.handle_at_slot(slot), dist_sq }
     }
 
     /// Visit every live item in ascending dense-index order (the canonical
@@ -277,8 +251,6 @@ impl<T: SpatialItem> ItemArena<T> {
     pub fn structure_bytes(&self) -> usize {
         vec_bytes::<f64>(self.xs.capacity())
             + vec_bytes::<f64>(self.ys.capacity())
-            + vec_bytes::<f64>(self.deadlines.capacity())
-            + vec_bytes::<f64>(self.payoffs.capacity())
             + vec_bytes::<u32>(self.remaining.capacity())
             + vec_bytes::<Option<T>>(self.items.capacity())
             + vec_bytes::<u32>(self.generations.capacity())
@@ -361,14 +333,13 @@ mod tests {
     }
 
     #[test]
-    fn payoff_and_capacity_columns_track_inserts_and_debits() {
+    fn capacity_column_tracks_inserts_and_debits() {
         let mut arena = ItemArena::new();
         let h = arena.insert(worker(0, 1.0, 2.0).with_capacity(2));
         assert_eq!(arena.remaining_of(h), Some(2));
         let c = arena.candidate_at_slot(h.slot() as usize, 4.0);
         assert_eq!(c.handle, h);
-        assert_eq!(c.payoff, 1.0, "workers carry unit payoff");
-        assert_eq!(c.remaining_capacity, 2);
+        assert_eq!(c.dist_sq, 4.0);
         assert_eq!(arena.debit_capacity(h), Some(1));
         assert_eq!(arena.remaining_of(h), Some(1));
         arena.remove(h);

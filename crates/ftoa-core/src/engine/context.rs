@@ -1,14 +1,14 @@
 //! The engine-owned state a policy sees while handling one event.
 //!
 //! Since the arena refactor the pools are split in two: an [`ItemArena`]
-//! per side owns the objects (struct-of-arrays coordinates + deadlines +
-//! the `Copy` items, recycled through a free-list), and an [`EngineIndex`]
-//! per side maintains whatever acceleration structure the selected backend
-//! needs over the arena's slots. Policies see both through a [`PoolView`],
-//! and claim objects by [`PoolHandle`] — a slot + generation stamp that can
-//! never resurrect a freed or recycled object, which is what makes
-//! double-release a structural impossibility rather than a bookkeeping
-//! convention.
+//! per side owns the objects (struct-of-arrays coordinates + remaining
+//! capacities + the `Copy` items, recycled through a free-list), and an
+//! [`EngineIndex`] per side maintains whatever acceleration structure the
+//! selected backend needs over the arena's slots. Policies see both
+//! through a [`PoolView`], and claim objects by [`PoolHandle`] — a slot +
+//! generation stamp that can never resurrect a freed or recycled object,
+//! which is what makes double-release a structural impossibility rather
+//! than a bookkeeping convention.
 
 use crate::engine::arena::ItemArena;
 use crate::engine::driver::OnlinePolicy;
@@ -75,9 +75,13 @@ pub struct MatchOutcome {
 }
 
 /// A read/query view over one pool: the arena that owns the objects plus
-/// the backend index that accelerates the candidate queries. Queries that
-/// scan candidates take `&mut self` because they advance the index's
-/// examined counter; object lookups are plain reads.
+/// the backend index that accelerates the candidate queries. The two
+/// queries are the paper's: the nearest feasible object
+/// ([`Self::nearest_within`]) and every object in a disk
+/// ([`Self::for_each_within`]); a policy that ranks candidates some other
+/// way (by payoff, say) folds its argmax into the range visitor. Queries
+/// take `&mut self` because they advance the index's examined counter;
+/// object lookups are plain reads.
 pub struct PoolView<'p, T: SpatialItem> {
     arena: &'p ItemArena<T>,
     index: &'p mut EngineIndex<T>,
@@ -114,21 +118,11 @@ impl<'p, T: SpatialItem> PoolView<'p, T> {
         self.arena.remaining_of(handle)
     }
 
-    /// The nearest live object (Euclidean distance from `query`) accepted
-    /// by `feasible`, as a weighted [`Candidate`] carrying the squared
-    /// distance, the object's payoff and its remaining capacity.
-    pub fn nearest_where(
-        &mut self,
-        query: &Location,
-        feasible: &mut dyn FnMut(&T) -> bool,
-    ) -> Option<Candidate> {
-        self.index.nearest_within(self.arena, query, f64::INFINITY, feasible)
-    }
-
-    /// Like [`Self::nearest_where`], restricted to objects within
-    /// `max_radius` of `query` (inclusive). Policies pass the reachable-disk
-    /// radius implied by the deadline constraint so that hopeless queries
-    /// terminate without examining distant candidates.
+    /// The nearest live object (Euclidean distance from `query`) within
+    /// `max_radius` of `query` (inclusive) accepted by `feasible`. Policies
+    /// pass the reachable-disk radius implied by the deadline constraint so
+    /// that hopeless queries terminate without examining distant candidates;
+    /// `f64::INFINITY` searches the whole pool.
     pub fn nearest_within(
         &mut self,
         query: &Location,
@@ -138,24 +132,8 @@ impl<'p, T: SpatialItem> PoolView<'p, T> {
         self.index.nearest_within(self.arena, query, max_radius, feasible)
     }
 
-    /// The **highest-payoff** live object within `max_radius` of `query`
-    /// (inclusive) accepted by `feasible` — argmax payoff, ties broken
-    /// towards the smaller distance, residual exact ties by the backend's
-    /// scan order. Weighted greedy policies use this instead of maximising
-    /// inside a [`Self::for_each_within`] visitor: the argmax runs inside
-    /// the index's kernel sweep, and `feasible` is only consulted for
-    /// candidates that would improve on the current best.
-    pub fn best_payoff_within(
-        &mut self,
-        query: &Location,
-        max_radius: f64,
-        feasible: &mut dyn FnMut(&T) -> bool,
-    ) -> Option<Candidate> {
-        self.index.best_payoff_within(self.arena, query, max_radius, feasible)
-    }
-
     /// Visit every live object within `radius` of `center` (inclusive),
-    /// with its weighted [`Candidate`] record.
+    /// with its [`Candidate`] record.
     pub fn for_each_within(
         &mut self,
         center: &Location,

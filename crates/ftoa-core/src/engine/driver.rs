@@ -194,7 +194,7 @@ mod tests {
             fn on_task_arrival(&mut self, ctx: &mut EngineContext<'_>, r: &Task) {
                 let mut pool = ctx.idle_workers();
                 let found = pool
-                    .nearest_where(&r.location, &mut |_| true)
+                    .nearest_within(&r.location, f64::INFINITY, &mut |_| true)
                     .map(|c| pool.get(c.handle).expect("fresh handle").id);
                 if let Some(worker_id) = found {
                     ctx.commit(crate::engine::context::AssignmentDecision::new(worker_id, r.id));

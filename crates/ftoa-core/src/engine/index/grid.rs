@@ -369,62 +369,6 @@ impl<T: SpatialItem> CandidateIndex<T> for GridCandidateIndex<T> {
         self.examined += scanned;
     }
 
-    fn best_payoff_within(
-        &mut self,
-        arena: &ItemArena<T>,
-        query: &Location,
-        max_radius: f64,
-        feasible: &mut dyn FnMut(&T) -> bool,
-    ) -> Option<Candidate> {
-        if self.len == 0 || max_radius.is_nan() || max_radius < 0.0 {
-            return None;
-        }
-        // Payoff carries no spatial structure, so there is no ring-expansion
-        // early exit: every bucket overlapping the disk must be scanned,
-        // exactly like `for_each_within` — same bbox, same bitmap walk, same
-        // examined accounting.
-        let (min_bx, min_by) = self.bucket_coords(query.x - max_radius, query.y - max_radius);
-        let (max_bx, max_by) = self.bucket_coords(query.x + max_radius, query.y + max_radius);
-        let max_r2 = max_radius * max_radius;
-        let mut scanned = 0u64;
-        let mut best: Option<(usize, f64, f64)> = None;
-        let width = max_bx - min_bx + 1;
-        let span = if width >= 64 { !0u64 } else { ((1u64 << width) - 1) << min_bx };
-        for by in min_by..=max_by {
-            let mut row = self.row_masks[by] & span;
-            while row != 0 {
-                let bx = row.trailing_zeros() as usize;
-                row &= row - 1;
-                let b = &self.buckets[by * self.nx + bx];
-                scanned += b.len() as u64;
-                for m in b.iter() {
-                    let dx = m.x - query.x;
-                    let dy = m.y - query.y;
-                    let d2 = dx * dx + dy * dy;
-                    if d2 > max_r2 {
-                        continue;
-                    }
-                    let slot = m.slot as usize;
-                    let payoff = arena.payoffs()[slot];
-                    // Argmax payoff, then nearer, then earliest in scan
-                    // order — the kernel op's improvement predicate.
-                    let improves = match best {
-                        None => true,
-                        Some((_, best_d2, best_payoff)) => {
-                            payoff > best_payoff || (payoff == best_payoff && d2 < best_d2)
-                        }
-                    };
-                    if improves && feasible(arena.slot_item(slot).expect("bucket members are live"))
-                    {
-                        best = Some((slot, d2, payoff));
-                    }
-                }
-            }
-        }
-        self.examined += scanned;
-        best.map(|(slot, d2, _)| arena.candidate_at_slot(slot, d2))
-    }
-
     fn candidates_examined(&self) -> u64 {
         self.examined
     }

@@ -184,20 +184,6 @@ impl<T: SpatialItem> CandidateIndex<T> for HybridCandidateIndex<T> {
         }
     }
 
-    fn best_payoff_within(
-        &mut self,
-        arena: &ItemArena<T>,
-        query: &Location,
-        max_radius: f64,
-        feasible: &mut dyn FnMut(&T) -> bool,
-    ) -> Option<Candidate> {
-        match self.route(query, max_radius) {
-            Route::Empty => None,
-            Route::Grid => self.grid.best_payoff_within(arena, query, max_radius, feasible),
-            Route::Kd => self.kd.best_payoff_within(arena, query, max_radius, feasible),
-        }
-    }
-
     fn candidates_examined(&self) -> u64 {
         self.grid.candidates_examined() + self.kd.candidates_examined()
     }

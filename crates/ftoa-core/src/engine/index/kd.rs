@@ -48,11 +48,9 @@ pub struct KdCandidateIndex<T> {
     /// stamps and entries whose generation no longer matches are dead.
     tree: KdTree<(u32, u32)>,
     /// Insertions since the last rebuild (never in `tree`), struct-of-arrays
-    /// so queries can kernel-scan the coordinates (and, for the
-    /// payoff-argmax query, the payoff column alongside).
+    /// so queries can kernel-scan the coordinates.
     fresh_xs: Vec<f64>,
     fresh_ys: Vec<f64>,
-    fresh_payoffs: Vec<f64>,
     fresh_stamps: Vec<(u32, u32)>,
     /// Tree entries invalidated by a removal since the last rebuild.
     stale: usize,
@@ -67,7 +65,6 @@ impl<T: SpatialItem> KdCandidateIndex<T> {
             tree: KdTree::build(Vec::new()),
             fresh_xs: Vec::new(),
             fresh_ys: Vec::new(),
-            fresh_payoffs: Vec::new(),
             fresh_stamps: Vec::new(),
             stale: 0,
             examined: 0,
@@ -93,7 +90,6 @@ impl<T: SpatialItem> KdCandidateIndex<T> {
             self.tree = KdTree::build(points);
             self.fresh_xs.clear();
             self.fresh_ys.clear();
-            self.fresh_payoffs.clear();
             self.fresh_stamps.clear();
             self.stale = 0;
         }
@@ -111,7 +107,6 @@ impl<T: SpatialItem> CandidateIndex<T> for KdCandidateIndex<T> {
         let slot = handle.slot() as usize;
         self.fresh_xs.push(arena.xs()[slot]);
         self.fresh_ys.push(arena.ys()[slot]);
-        self.fresh_payoffs.push(arena.payoffs()[slot]);
         self.fresh_stamps.push((handle.slot(), handle.generation()));
     }
 
@@ -210,70 +205,6 @@ impl<T: SpatialItem> CandidateIndex<T> for KdCandidateIndex<T> {
         self.examined += scanned;
     }
 
-    fn best_payoff_within(
-        &mut self,
-        arena: &ItemArena<T>,
-        query: &Location,
-        max_radius: f64,
-        feasible: &mut dyn FnMut(&T) -> bool,
-    ) -> Option<Candidate> {
-        self.maybe_rebuild(arena);
-        let mut scanned = 0u64;
-        // Payoff carries no spatial structure, so the whole in-disk tree
-        // set is enumerated (the radius still prunes the descent) and the
-        // argmax folded over it with the kernel op's improvement predicate.
-        let mut best: Option<(usize, f64, f64)> = None;
-        for (_, &(slot, generation), d) in self.tree.within_radius(query, max_radius) {
-            scanned += 1;
-            let slot = slot as usize;
-            let Some(item) = arena.stamped_item(slot, generation) else { continue };
-            let d2 = d * d;
-            let payoff = arena.payoffs()[slot];
-            let improves = match best {
-                None => true,
-                Some((_, best_d2, best_payoff)) => {
-                    payoff > best_payoff || (payoff == best_payoff && d2 < best_d2)
-                }
-            };
-            if improves && feasible(item) {
-                best = Some((slot, d2, payoff));
-            }
-        }
-        // Merge with the not-yet-indexed fresh buffer; on exact (payoff,
-        // distance) ties the tree hit wins, mirroring `nearest_within`.
-        scanned += self.fresh_stamps.len() as u64;
-        let max_r2 = if max_radius < 0.0 { f64::NEG_INFINITY } else { max_radius * max_radius };
-        let stamps = &self.fresh_stamps;
-        let fresh_best = kernels::best_payoff_within_sq(
-            &self.fresh_xs,
-            &self.fresh_ys,
-            &self.fresh_payoffs,
-            query.x,
-            query.y,
-            max_r2,
-            &mut |pos| {
-                let (slot, generation) = stamps[pos];
-                match arena.stamped_item(slot as usize, generation) {
-                    Some(item) => feasible(item),
-                    None => false,
-                }
-            },
-        );
-        if let Some((pos, d2, payoff)) = fresh_best {
-            let improves = match best {
-                None => true,
-                Some((_, best_d2, best_payoff)) => {
-                    payoff > best_payoff || (payoff == best_payoff && d2 < best_d2)
-                }
-            };
-            if improves {
-                best = Some((stamps[pos].0 as usize, d2, payoff));
-            }
-        }
-        self.examined += scanned;
-        best.map(|(slot, d2, _)| arena.candidate_at_slot(slot, d2))
-    }
-
     fn candidates_examined(&self) -> u64 {
         self.examined
     }
@@ -284,7 +215,6 @@ impl<T: SpatialItem> CandidateIndex<T> for KdCandidateIndex<T> {
         // stored point).
         vec_bytes::<f64>(self.fresh_xs.capacity())
             + vec_bytes::<f64>(self.fresh_ys.capacity())
-            + vec_bytes::<f64>(self.fresh_payoffs.capacity())
             + vec_bytes::<(u32, u32)>(self.fresh_stamps.capacity())
             + vec_bytes::<(Location, (u32, u32))>(self.tree.len())
             + vec_bytes::<(usize, usize, usize, u8)>(self.tree.len())

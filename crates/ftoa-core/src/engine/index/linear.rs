@@ -83,27 +83,6 @@ impl<T: SpatialItem> CandidateIndex<T> for LinearScanIndex<T> {
         );
     }
 
-    fn best_payoff_within(
-        &mut self,
-        arena: &ItemArena<T>,
-        query: &Location,
-        max_radius: f64,
-        feasible: &mut dyn FnMut(&T) -> bool,
-    ) -> Option<Candidate> {
-        self.examined += arena.len() as u64;
-        let max_r2 = if max_radius < 0.0 { f64::NEG_INFINITY } else { max_radius * max_radius };
-        let best = kernels::best_payoff_within_sq(
-            arena.xs(),
-            arena.ys(),
-            arena.payoffs(),
-            query.x,
-            query.y,
-            max_r2,
-            &mut |slot| feasible(arena.slot_item(slot).expect("kernel hits are live slots")),
-        );
-        best.map(|(slot, d2, _)| arena.candidate_at_slot(slot, d2))
-    }
-
     fn candidates_examined(&self) -> u64 {
         self.examined
     }

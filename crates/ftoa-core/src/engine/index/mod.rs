@@ -59,7 +59,7 @@ pub trait CandidateIndex<T: SpatialItem> {
 
     /// The nearest live object (Euclidean distance from `query`) within
     /// `max_radius` (inclusive) accepted by `feasible`, as a [`Candidate`]
-    /// carrying the handle, squared distance, payoff and remaining capacity.
+    /// carrying the handle and squared distance.
     /// Policies pass the reachable-disk radius implied by the deadline
     /// constraint so that hopeless queries terminate without examining
     /// distant candidates.
@@ -72,7 +72,7 @@ pub trait CandidateIndex<T: SpatialItem> {
     ) -> Option<Candidate>;
 
     /// Visit every live object within `radius` of `center` (inclusive),
-    /// handing the visitor both the [`Candidate`] fields and the item.
+    /// handing the visitor both the [`Candidate`] and the item.
     fn for_each_within(
         &mut self,
         arena: &ItemArena<T>,
@@ -80,22 +80,6 @@ pub trait CandidateIndex<T: SpatialItem> {
         radius: f64,
         visit: &mut dyn FnMut(Candidate, &T),
     );
-
-    /// The **highest-payoff** live object within `max_radius` (inclusive)
-    /// accepted by `feasible` — argmax payoff, ties broken towards the
-    /// smaller distance, residual exact ties by the backend's scan order
-    /// (the same order [`Self::nearest_within`] resolves its ties in).
-    /// Weighted greedy policies use this instead of filtering inside a
-    /// [`Self::for_each_within`] visitor, which keeps the argmax inside the
-    /// kernel sweep. `feasible` is only consulted for candidates that would
-    /// improve on the current best.
-    fn best_payoff_within(
-        &mut self,
-        arena: &ItemArena<T>,
-        query: &Location,
-        max_radius: f64,
-        feasible: &mut dyn FnMut(&T) -> bool,
-    ) -> Option<Candidate>;
 
     /// Stored entries *scanned* by queries so far (distance computed or
     /// feasibility checked). The linear backend scans every live entry per
@@ -217,16 +201,6 @@ impl<T: SpatialItem> CandidateIndex<T> for EngineIndex<T> {
         dispatch!(self, idx => idx.for_each_within(arena, center, radius, visit))
     }
 
-    fn best_payoff_within(
-        &mut self,
-        arena: &ItemArena<T>,
-        query: &Location,
-        max_radius: f64,
-        feasible: &mut dyn FnMut(&T) -> bool,
-    ) -> Option<Candidate> {
-        dispatch!(self, idx => idx.best_payoff_within(arena, query, max_radius, feasible))
-    }
-
     fn candidates_examined(&self) -> u64 {
         dispatch!(self, idx => idx.candidates_examined())
     }
@@ -240,8 +214,7 @@ impl<T: SpatialItem> CandidateIndex<T> for EngineIndex<T> {
 mod tests {
     use super::*;
     use ftoa_types::{
-        GridPartition, Location, SlotPartition, Task, TaskId, TimeDelta, TimeStamp, Worker,
-        WorkerId,
+        GridPartition, Location, SlotPartition, TimeDelta, TimeStamp, Worker, WorkerId,
     };
 
     fn config() -> ProblemConfig {
@@ -323,8 +296,6 @@ mod tests {
             let best = idx.nearest_within(&arena, &q, f64::INFINITY, &mut |_| true).unwrap();
             assert_eq!(arena.get(best.handle).unwrap().id, WorkerId(1));
             assert!((best.distance() - Location::new(5.0, 5.0).distance(&q)).abs() < 1e-12);
-            assert_eq!(best.payoff, 1.0, "workers carry unit payoff");
-            assert_eq!(best.remaining_capacity, 1, "default workers are single-assignment");
             // Filtered query skips the nearest.
             let second =
                 idx.nearest_within(&arena, &q, f64::INFINITY, &mut |w| w.id.index() != 1).unwrap();
@@ -367,52 +338,6 @@ mod tests {
             assert!(miss.is_none());
             let negative = idx.nearest_within(&arena, &q, -1.0, &mut |_| true);
             assert!(negative.is_none(), "negative radius admits nothing");
-        }
-    }
-
-    #[test]
-    fn best_payoff_query_agrees_between_backends() {
-        let task = |i: usize, x: f64, y: f64, payoff: f64| {
-            Task::new(TaskId(i), Location::new(x, y), TimeStamp::ZERO, TimeDelta::minutes(60.0))
-                .with_payoff(payoff)
-        };
-        for backend in IndexBackend::ALL {
-            let mut arena: ItemArena<Task> = ItemArena::new();
-            let mut idx = backend.build::<Task>(&config());
-            // Distinct payoffs except one deliberate tie broken by distance.
-            let spec = [
-                (0, 1.0, 1.0, 2.0),
-                (1, 2.0, 2.0, 5.0), // payoff tie with 2, nearer to the query
-                (2, 4.0, 4.0, 5.0),
-                (3, 5.0, 5.0, 3.0),
-                (4, 9.0, 9.0, 9.0), // global argmax, far away
-            ];
-            for (i, x, y, p) in spec {
-                let h = arena.insert(task(i, x, y, p));
-                idx.insert(&arena, h);
-            }
-            let q = Location::new(2.5, 2.5);
-            let name = backend.name();
-
-            let best = idx.best_payoff_within(&arena, &q, f64::INFINITY, &mut |_| true).unwrap();
-            assert_eq!(arena.get(best.handle).unwrap().id, TaskId(4), "{name}: argmax payoff");
-            assert_eq!(best.payoff, 9.0, "{name}");
-
-            // Radius excludes the global argmax; the payoff tie at 5.0
-            // breaks towards the nearer task 1.
-            let near = idx.best_payoff_within(&arena, &q, 3.0, &mut |_| true).unwrap();
-            assert_eq!(arena.get(near.handle).unwrap().id, TaskId(1), "{name}: distance tiebreak");
-
-            // Feasibility filtering skips the winner.
-            let filtered = idx
-                .best_payoff_within(&arena, &q, f64::INFINITY, &mut |t| t.id.index() != 4)
-                .unwrap();
-            assert_eq!(arena.get(filtered.handle).unwrap().id, TaskId(1), "{name}: filtered");
-
-            // Radius and degenerate cases.
-            assert!(idx.best_payoff_within(&arena, &q, 0.1, &mut |_| true).is_none(), "{name}");
-            assert!(idx.best_payoff_within(&arena, &q, -1.0, &mut |_| true).is_none(), "{name}");
-            assert!(idx.candidates_examined() > 0, "{name}: queries count examined candidates");
         }
     }
 
@@ -470,8 +395,6 @@ mod tests {
             idx.for_each_within(&arena, &q, f64::INFINITY, &mut |_, w| found.push(w.id.index()));
             found.sort_unstable();
             assert_eq!(found, vec![0, 1, 2], "{name}: infinite radius visits everyone");
-            let payoff = idx.best_payoff_within(&arena, &q, f64::INFINITY, &mut |_| true);
-            assert!(payoff.is_some(), "{name}: infinite radius reaches the argmax");
         }
     }
 
@@ -496,10 +419,6 @@ mod tests {
             let mut found = Vec::new();
             idx.for_each_within(&arena, &q, f64::NAN, &mut |_, w| found.push(w.id.index()));
             assert!(found.is_empty(), "{name}: NaN radius must visit nothing: {found:?}");
-            assert!(
-                idx.best_payoff_within(&arena, &q, f64::NAN, &mut |_| true).is_none(),
-                "{name}: NaN radius has no argmax"
-            );
         }
     }
 

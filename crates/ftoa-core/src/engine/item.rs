@@ -3,10 +3,12 @@
 use ftoa_types::{Location, Task, TimeStamp, Worker};
 
 /// An object that can live in the engine's pools: it has a dense index, a
-/// location, and a deadline. The [`crate::engine::arena::ItemArena`] records all
-/// three in its struct-of-arrays columns at admit time; the candidate
-/// indexes only ever read them back through the arena, and expiry is owned
-/// by the engine's priority queues ([`crate::engine::context::EngineContext`]).
+/// location, a deadline and a matching capacity. The
+/// [`crate::engine::arena::ItemArena`] keys its slots by the index, stores
+/// the coordinates in its struct-of-arrays columns and keeps a debitable
+/// copy of the capacity; the candidate indexes only ever read coordinates
+/// back through the arena, and expiry is owned by the engine's priority
+/// queues ([`crate::engine::context::EngineContext`]).
 pub trait SpatialItem: Copy {
     /// Dense 0-based identifier (`WorkerId` / `TaskId` index).
     fn item_index(&self) -> usize;
@@ -14,9 +16,6 @@ pub trait SpatialItem: Copy {
     fn item_location(&self) -> Location;
     /// When the object silently leaves the platform (inclusive).
     fn item_deadline(&self) -> TimeStamp;
-    /// Utility accrued by matching this object (a task's payoff; `1.0` for
-    /// workers, whose side of the objective carries no weight).
-    fn item_payoff(&self) -> f64;
     /// How many times this object may be matched (a worker's capacity;
     /// `1` for tasks, which are served at most once).
     fn item_capacity(&self) -> u32;
@@ -32,9 +31,6 @@ impl SpatialItem for Worker {
     fn item_deadline(&self) -> TimeStamp {
         self.deadline()
     }
-    fn item_payoff(&self) -> f64 {
-        1.0
-    }
     fn item_capacity(&self) -> u32 {
         self.capacity
     }
@@ -49,9 +45,6 @@ impl SpatialItem for Task {
     }
     fn item_deadline(&self) -> TimeStamp {
         self.deadline()
-    }
-    fn item_payoff(&self) -> f64 {
-        self.payoff
     }
     fn item_capacity(&self) -> u32 {
         1

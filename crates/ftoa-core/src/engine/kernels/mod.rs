@@ -291,64 +291,6 @@ pub fn nearest_within_sq_in(
     best
 }
 
-/// The accepted position within `max_r2` of `(qx, qy)` with the **highest
-/// payoff**, as `(position, squared distance, payoff)`. Ties on payoff
-/// prefer the smaller squared distance; exact `(payoff, distance)` ties
-/// keep the earliest position — the same scan-order semantics as
-/// [`nearest_within_sq`].
-///
-/// `payoffs` is a third parallel slice (the arena's payoff column; NaN on
-/// vacant slots, which the radius compare already excludes). `accept` is
-/// only consulted for candidates that would improve on the current best.
-/// Weighted policies use this to pick an argmax-payoff candidate directly
-/// in the kernel sweep instead of filtering in a visitor.
-#[inline]
-pub fn best_payoff_within_sq(
-    xs: &[f64],
-    ys: &[f64],
-    payoffs: &[f64],
-    qx: f64,
-    qy: f64,
-    max_r2: f64,
-    accept: &mut impl FnMut(usize) -> bool,
-) -> Option<(usize, f64, f64)> {
-    best_payoff_within_sq_in(active_kernel(), xs, ys, payoffs, qx, qy, max_r2, accept)
-}
-
-/// [`best_payoff_within_sq`] on an explicitly chosen kernel.
-#[inline]
-#[allow(clippy::too_many_arguments)] // the three parallel slices + query tuple are the signature
-pub fn best_payoff_within_sq_in(
-    kind: KernelKind,
-    xs: &[f64],
-    ys: &[f64],
-    payoffs: &[f64],
-    qx: f64,
-    qy: f64,
-    max_r2: f64,
-    accept: &mut impl FnMut(usize) -> bool,
-) -> Option<(usize, f64, f64)> {
-    // Same length contract as the coordinate pair, extended to the payoff
-    // column: assert in debug, truncate in release.
-    debug_assert_eq!(xs.len(), payoffs.len(), "payoff slice must be parallel to the coordinates");
-    let n = xs.len().min(ys.len()).min(payoffs.len());
-    let (xs, ys, payoffs) = (&xs[..n], &ys[..n], &payoffs[..n]);
-    let mut best: Option<(usize, f64, f64)> = None;
-    for_each_within_sq_in(kind, xs, ys, qx, qy, max_r2, &mut |i, d2| {
-        let payoff = payoffs[i];
-        let improves = match best {
-            None => true,
-            Some((_, best_d2, best_payoff)) => {
-                payoff > best_payoff || (payoff == best_payoff && d2 < best_d2)
-            }
-        };
-        if improves && accept(i) {
-            best = Some((i, d2, payoff));
-        }
-    });
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,63 +386,6 @@ mod tests {
             assert_eq!(nearest_within_sq_in(kind, &xs, &ys, 6.0, 0.0, 9.0, &mut |_| true), None);
             let hit = nearest_within_sq_in(kind, &xs, &ys, 6.0, 0.0, 16.0, &mut |_| true).unwrap();
             assert_eq!(hit.0, 1, "kind = {}", kind.name());
-        }
-    }
-
-    #[test]
-    fn best_payoff_prefers_payoff_then_distance_then_position() {
-        for kind in supported_kinds() {
-            let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
-            let ys = [0.0; 5];
-            // Highest payoff wins regardless of distance.
-            let payoffs = [1.0, 5.0, 2.0, 5.0, 9.0];
-            let best = best_payoff_within_sq_in(
-                kind,
-                &xs,
-                &ys,
-                &payoffs,
-                0.0,
-                0.0,
-                f64::INFINITY,
-                &mut |_| true,
-            )
-            .unwrap();
-            assert_eq!(best, (4, 16.0, 9.0), "kind = {}", kind.name());
-            // With the top excluded, the payoff tie at 5.0 breaks towards the
-            // smaller distance (position 1).
-            let tie = best_payoff_within_sq_in(
-                kind,
-                &xs,
-                &ys,
-                &payoffs,
-                0.0,
-                0.0,
-                f64::INFINITY,
-                &mut |i| i != 4,
-            )
-            .unwrap();
-            assert_eq!(tie, (1, 1.0, 5.0), "kind = {}", kind.name());
-            // Exact (payoff, distance) ties keep the earliest position.
-            let mirrored =
-                best_payoff_within_sq_in(kind, &xs, &ys, &payoffs, 2.0, 0.0, 1.0, &mut |_| true)
-                    .unwrap();
-            assert_eq!(mirrored, (1, 1.0, 5.0), "positions 1 and 3 tie; earliest wins");
-        }
-    }
-
-    #[test]
-    fn best_payoff_honours_radius_and_accept() {
-        for kind in supported_kinds() {
-            let xs = [0.0, 10.0];
-            let ys = [0.0, 0.0];
-            let payoffs = [1.0, 100.0];
-            let near =
-                best_payoff_within_sq_in(kind, &xs, &ys, &payoffs, 0.0, 0.0, 4.0, &mut |_| true)
-                    .unwrap();
-            assert_eq!(near.0, 0, "the rich candidate is out of radius");
-            let none =
-                best_payoff_within_sq_in(kind, &xs, &ys, &payoffs, 0.0, 0.0, 4.0, &mut |_| false);
-            assert!(none.is_none(), "accept rejects everything");
         }
     }
 

@@ -12,17 +12,16 @@
 //!   can live in a candidate pool, keyed by dense index, located in space
 //!   and bounded by a deadline;
 //! * [`arena`] — the [`arena::ItemArena`]: generational struct-of-arrays storage
-//!   for one pool. Coordinates and deadlines live in parallel `Vec<f64>`s,
-//!   freed slots recycle through a free-list, and [`ftoa_types::PoolHandle`]
-//!   stamps (slot + generation) make stale references structurally
-//!   unobservable;
+//!   for one pool. Coordinates live in parallel `Vec<f64>`s beside a
+//!   debitable remaining-capacity column, freed slots recycle through a
+//!   free-list, and [`ftoa_types::PoolHandle`] stamps (slot + generation)
+//!   make stale references structurally unobservable;
 //! * [`kernels`] — batched squared-distance kernels over the arena's
 //!   coordinate slices, with explicit AVX2/NEON implementations selected at
 //!   runtime (`FTOA_KERNEL`, see [`kernels::KernelKind`]) and a portable
 //!   chunked scalar fallback that doubles as the bit-exactness oracle; the
 //!   linear, kd and hybrid backends funnel their candidate scans through
-//!   these three ops (`for_each_within_sq`, `nearest_within_sq`,
-//!   `best_payoff_within_sq`);
+//!   these two ops (`for_each_within_sq`, `nearest_within_sq`);
 //! * [`index`] — the [`index::CandidateIndex`] trait plus its four backends: the
 //!   exhaustive [`index::LinearScanIndex`] (reference/oracle), the struct-of-arrays
 //!   [`index::GridCandidateIndex`] with ring and reachable-disk range queries, the

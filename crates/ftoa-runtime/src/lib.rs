@@ -175,7 +175,7 @@ impl JobPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     #[test]
     fn parse_jobs_accepts_positive_integers_only() {
@@ -262,25 +262,50 @@ mod tests {
 
     #[test]
     fn a_panicking_cell_abandons_the_remaining_queue() {
+        /// Set when the worker thread that ran cell 0 exits, which is after
+        /// the pool raised its abort flag for that cell's panic. The store
+        /// is `Release` and the waiting cells load it `Acquire`, so a worker
+        /// whose cell saw the mark also sees the abort flag.
+        static CELL_ZERO_WORKER_GONE: AtomicBool = AtomicBool::new(false);
+        struct MarkOnDrop;
+        impl Drop for MarkOnDrop {
+            fn drop(&mut self) {
+                CELL_ZERO_WORKER_GONE.store(true, Ordering::Release);
+            }
+        }
+        thread_local! {
+            static EXIT_GUARD: std::cell::RefCell<Option<MarkOnDrop>> =
+                const { std::cell::RefCell::new(None) };
+        }
+
         let ran = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(|| {
             JobPool::new(4).par_map_indexed((0..500usize).collect(), |_, x| {
                 if x == 0 {
+                    // The worker thread holds the guard, not the cell: a
+                    // guard local to the cell drops during the unwind, before
+                    // the pool raises its abort flag, so a cell released by
+                    // it could let its worker pull one more.
+                    EXIT_GUARD.with(|guard| *guard.borrow_mut() = Some(MarkOnDrop));
                     panic!("first cell fails");
                 }
+                // Hold every other cell until cell 0's worker is gone (at
+                // most 10 s), so no worker can finish a cell and pull the
+                // next one before the abort flag is up.
+                for _ in 0..10_000 {
+                    if CELL_ZERO_WORKER_GONE.load(Ordering::Acquire) {
+                        break;
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
                 ran.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(std::time::Duration::from_millis(1));
                 x
             })
         });
         assert!(result.is_err());
-        // The abort flag is raised before the panic unwinds, so the other
-        // workers stop pulling once they finish their in-flight cell —
-        // nowhere near the full 500-item queue gets computed as waste.
-        assert!(
-            ran.load(Ordering::Relaxed) < 100,
-            "panic did not stop the pool: {} cells still ran",
-            ran.load(Ordering::Relaxed)
-        );
+        // Each of the three other workers finishes at most the cell it held
+        // when cell 0 failed, and pulls no other.
+        let ran = ran.load(Ordering::Relaxed);
+        assert!(ran <= 3, "panic did not stop the pool: {ran} cells still ran");
     }
 }

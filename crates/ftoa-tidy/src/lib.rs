@@ -53,9 +53,9 @@ pub fn check_workspace(root: &Path) -> std::io::Result<TidyReport> {
     for rel in &files {
         let class = scan::classify(rel);
         if class == scan::FileClass::Shim {
-            // The vendored shims deliberately mirror external crates' APIs
-            // (criterion's timing loop needs the wall clock); they are not
-            // part of the deterministic surface.
+            // The vendored shims (rand, proptest) deliberately mirror
+            // external crates' APIs; they are not part of the deterministic
+            // surface.
             continue;
         }
         let source = std::fs::read_to_string(root.join(rel))?;

@@ -21,7 +21,7 @@ pub enum FileClass {
     Bin,
     /// Integration test — exempt from line rules (tests drive, not decide).
     Test,
-    /// Criterion-style bench — needs the wall clock by definition.
+    /// Bench target — needs the wall clock by definition.
     Bench,
     /// Example — a demo bin; may print.
     Example,
@@ -442,7 +442,10 @@ mod tests {
         assert_eq!(classify("crates/experiments/src/bin/replay.rs"), FileClass::Bin);
         assert_eq!(classify("tests/paper_example.rs"), FileClass::Test);
         assert_eq!(classify("crates/flow/tests/proptest_flow.rs"), FileClass::Test);
-        assert_eq!(classify("crates/experiments/benches/bench_fig4.rs"), FileClass::Bench);
+        assert_eq!(
+            classify("crates/experiments/benches/bench_parallel_sweep.rs"),
+            FileClass::Bench
+        );
         assert_eq!(classify("examples/quickstart.rs"), FileClass::Example);
         assert_eq!(classify("crates/shims/rand/src/lib.rs"), FileClass::Shim);
     }

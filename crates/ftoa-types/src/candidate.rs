@@ -1,16 +1,15 @@
 //! Candidates returned by engine index queries.
 //!
-//! A candidate index query used to yield bare `(PoolHandle, distance)` pairs;
-//! with weighted payoffs and multi-assignment workers a policy deciding
-//! between candidates needs the economic fields too. [`Candidate`] carries
-//! everything the weighted MaxSum objective is written in terms of, so
-//! policies never have to re-derive payoff or remaining capacity from the
-//! underlying item.
+//! A query answers one of the paper's two spatial questions (the nearest
+//! feasible object, or every object in a reachable disk), so a result names
+//! the object and how far it is from the query point. Payoff and remaining
+//! capacity are not copied in: policies read them from the item or through
+//! the engine's pool view.
 
 use crate::handle::PoolHandle;
 
-/// One query result from a candidate index: the pool handle of the item plus
-/// the fields a weight/capacity-aware policy ranks candidates by.
+/// One query result from a candidate index: the pool handle of the item and
+/// its squared distance from the query point.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Candidate {
     /// Stable handle of the item in its pool.
@@ -19,11 +18,6 @@ pub struct Candidate {
     /// distance kernels work in the squared domain; take [`Candidate::distance`]
     /// when the true distance is needed.
     pub dist_sq: f64,
-    /// Payoff of the item (a task's `payoff`; `1.0` for workers).
-    pub payoff: f64,
-    /// Remaining assignment capacity of the item (a worker's undebited
-    /// `capacity`; `1` for tasks, which are served at most once).
-    pub remaining_capacity: u32,
 }
 
 impl Candidate {
@@ -39,14 +33,7 @@ mod tests {
 
     #[test]
     fn distance_is_sqrt_of_dist_sq() {
-        let c = Candidate {
-            handle: PoolHandle::new(0, 1),
-            dist_sq: 9.0,
-            payoff: 2.5,
-            remaining_capacity: 3,
-        };
+        let c = Candidate { handle: PoolHandle::new(0, 1), dist_sq: 9.0 };
         assert_eq!(c.distance(), 3.0);
-        assert_eq!(c.payoff, 2.5);
-        assert_eq!(c.remaining_capacity, 3);
     }
 }

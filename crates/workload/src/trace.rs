@@ -162,6 +162,17 @@ impl TraceError {
     fn parse(line: usize, message: impl Into<String>) -> Self {
         TraceError::Parse { line, message: message.into() }
     }
+
+    /// A failed read of line `line`. Bytes that are not UTF-8 make the line
+    /// unparseable, so they are a parse error naming it; any other I/O
+    /// failure stays [`TraceError::Io`].
+    fn reading(line: usize, e: io::Error) -> Self {
+        if e.kind() == io::ErrorKind::InvalidData {
+            TraceError::parse(line, format!("cannot read the line: {e}"))
+        } else {
+            TraceError::Io(e)
+        }
+    }
 }
 
 impl fmt::Display for TraceError {
@@ -364,7 +375,8 @@ impl TraceReader {
         let mut lines = BufReader::new(source).lines();
         let first = lines
             .next()
-            .ok_or_else(|| TraceError::parse(1, "empty input: expected magic line"))??;
+            .ok_or_else(|| TraceError::parse(1, "empty input: expected magic line"))?
+            .map_err(|e| TraceError::reading(1, e))?;
         let found = first.trim_end();
         let version = if found == TRACE_MAGIC {
             TraceVersion::V2
@@ -392,8 +404,8 @@ impl TraceReader {
         let mut last_time: Option<f64> = None;
         let mut line_no = 1usize;
         for line in lines {
-            let line = line?;
             line_no += 1;
+            let line = line.map_err(|e| TraceError::reading(line_no, e))?;
             let trimmed = line.trim();
             if trimmed.is_empty() || trimmed.starts_with('#') {
                 continue;
@@ -934,6 +946,29 @@ mod tests {
                 assert!(message.contains("7 fields"), "got: {message}");
             }
             other => panic!("expected parse error, got {other}"),
+        }
+    }
+
+    /// A byte that is not UTF-8 makes its line unreadable; the error names
+    /// that line, on the magic line as on any later one.
+    #[test]
+    fn non_utf8_bytes_are_a_parse_error_naming_the_line() {
+        let text = "#ftoa-trace v1\nconfig region 0 0 10 10\nconfig grid 2 2\n\
+                    config slots 0 15 4\nconfig velocity 1\nconfig defaults 10 5\n\
+                    w 0 1 2 3 10 1\nt 0 1.5 2.5 3.5 5 1\n";
+        let mut bad_magic = text.as_bytes().to_vec();
+        bad_magic.insert(3, 0xFF);
+        let mut bad_event = text.as_bytes().to_vec();
+        let event_end = text.find("10 1\n").expect("worker line") + 4;
+        bad_event.insert(event_end, 0xFF);
+        for (bytes, want) in [(bad_magic, 1), (bad_event, 7)] {
+            match TraceReader::read(bytes.as_slice()).expect_err("must fail") {
+                TraceError::Parse { line, message } => {
+                    assert_eq!(line, want, "{message}");
+                    assert!(message.contains("UTF-8"), "got: {message}");
+                }
+                other => panic!("expected parse error, got {other}"),
+            }
         }
     }
 

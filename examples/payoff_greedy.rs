@@ -1,25 +1,25 @@
-//! Weighted greedy on the engine's payoff-argmax kernel.
+//! Weighted greedy as a custom policy over the engine's range query.
 //!
 //! On a weighted stream the nearest pending task is not necessarily the most
 //! valuable one. This example defines a small custom [`OnlinePolicy`] that,
-//! on every worker arrival, asks the candidate index for the
-//! **highest-payoff** reachable pending task via
-//! `PoolView::best_payoff_within` — the argmax runs inside the index's SIMD
-//! kernel sweep (see `FTOA_KERNEL`) instead of a filter-then-max visitor —
-//! and compares the utility it accrues against the payoff-oblivious
-//! SimpleGreedy baseline, across all four index backends.
+//! on every worker arrival, visits the reachable pending tasks with
+//! `PoolView::for_each_within` and keeps the **highest-payoff** feasible
+//! one. It compares the utility that policy accrues against the
+//! payoff-oblivious SimpleGreedy baseline on all four index backends, and
+//! asserts that every backend produces the same assignments.
 //!
 //! Run with: `cargo run --release --example payoff_greedy`
 
 use ftoa::core_algorithms::{
-    AssignmentDecision, EngineContext, IndexBackend, OnlinePolicy, SimpleGreedy, SimulationEngine,
+    AlgorithmResult, AssignmentDecision, EngineContext, IndexBackend, OnlinePolicy, SimpleGreedy,
+    SimulationEngine,
 };
-use ftoa::types::{Task, TimeDelta, Worker};
+use ftoa::types::{Assignment, Candidate, Task, TimeDelta, Worker};
 use ftoa::workload::SyntheticConfig;
 
 /// Greedy over task *payoffs*: each arriving worker grabs the most valuable
 /// pending task it can still reach (ties toward the nearest); each arriving
-/// task falls back to the most valuable idle worker that can serve it.
+/// task falls back to the nearest idle worker that can serve it.
 #[derive(Default)]
 struct PayoffGreedyPolicy {
     /// Largest task patience in the stream, bounding the reachable disk of
@@ -42,18 +42,25 @@ impl OnlinePolicy for PayoffGreedyPolicy {
         let now = ctx.now();
         let velocity = ctx.velocity();
         let radius = velocity * self.max_patience(ctx).as_minutes();
-        let found = if now < w.deadline() {
+        let mut best: Option<(Candidate, f64)> = None;
+        if now < w.deadline() {
             let origin = w.location;
             // The weighted twist: argmax payoff within the reachable disk,
-            // not argmin distance. `feasible` is only consulted for
-            // candidates that would improve on the current best.
-            ctx.pending_tasks().best_payoff_within(&origin, radius, &mut |task| {
-                now + origin.travel_time(&task.location, velocity) <= task.deadline()
-            })
-        } else {
-            None
-        };
-        if let Some(candidate) = found {
+            // ties toward the smaller distance, and an exact tie keeps the
+            // candidate the backend visited first. Feasibility is checked
+            // only for candidates that would improve on the best so far.
+            ctx.pending_tasks().for_each_within(&origin, radius, &mut |candidate, task| {
+                let improves = best.is_none_or(|(incumbent, payoff)| {
+                    task.payoff > payoff
+                        || (task.payoff == payoff && candidate.dist_sq < incumbent.dist_sq)
+                });
+                if improves && now + origin.travel_time(&task.location, velocity) <= task.deadline()
+                {
+                    best = Some((candidate, task.payoff));
+                }
+            });
+        }
+        if let Some((candidate, _)) = best {
             let task = ctx.claim_task(candidate.handle).expect("candidate came from the pool");
             ctx.commit(AssignmentDecision::new(w.id, task.id));
         } else {
@@ -76,6 +83,12 @@ impl OnlinePolicy for PayoffGreedyPolicy {
             ctx.admit_task(r);
         }
     }
+}
+
+/// What must not depend on the backend: the assignment pairs, in commit
+/// order, and the bits of the accrued payoff.
+fn outcome(result: &AlgorithmResult) -> (Vec<Assignment>, u64) {
+    (result.assignments.pairs().to_vec(), result.total_payoff.to_bits())
 }
 
 fn main() {
@@ -101,11 +114,15 @@ fn main() {
         "{:<14}{:<14}{:>10}{:>14}{:>12}",
         "policy", "backend", "matching", "total payoff", "time (ms)"
     );
+    // The first backend's outcome per policy, which every other backend
+    // must reproduce.
+    let mut reference: Vec<(Vec<Assignment>, u64)> = Vec::new();
     for backend in IndexBackend::ALL {
         let engine = SimulationEngine::new(backend);
         let mut weighted = PayoffGreedyPolicy::default();
         let mut nearest = SimpleGreedy.policy();
-        for result in [engine.run(&instance, &mut weighted), engine.run(&instance, &mut nearest)] {
+        let results = [engine.run(&instance, &mut weighted), engine.run(&instance, &mut nearest)];
+        for (policy, result) in results.iter().enumerate() {
             println!(
                 "{:<14}{:<14}{:>10}{:>14.1}{:>12.2}",
                 result.algorithm,
@@ -114,9 +131,19 @@ fn main() {
                 result.total_payoff,
                 result.runtime.as_secs_f64() * 1000.0
             );
+            match reference.get(policy) {
+                None => reference.push(outcome(result)),
+                Some(first) => assert!(
+                    outcome(result) == *first,
+                    "{} on {} diverged from {} on {}",
+                    result.algorithm,
+                    result.stats.backend,
+                    result.algorithm,
+                    IndexBackend::ALL[0].name()
+                ),
+            }
         }
     }
-    println!("\nSame matching size, substantially higher utility — and identical totals on");
-    println!("every backend: the argmax runs inside the shared index kernels (set");
-    println!("FTOA_KERNEL=scalar|avx2|neon to pin one implementation).");
+    println!("\nSame matching size, substantially higher utility — and identical assignments");
+    println!("and payoff bits on every backend.");
 }

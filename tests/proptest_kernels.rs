@@ -8,43 +8,18 @@
 //! exclusions, same tie-breaks. These properties drive every supported
 //! kernel on this machine against the scalar reference across random point
 //! sets (lengths spanning the 4-wide AVX2 / 2-wide NEON chunk boundaries,
-//! NaN-poisoned vacant slots, degenerate and unbounded radii), and pin the
-//! payoff-argmax op to a naive filter-then-max reference, including exact
-//! payoff and distance ties where the earliest position must win.
+//! NaN-poisoned vacant slots, degenerate and unbounded radii).
 
 use ftoa::core_algorithms::engine::kernels::{self, KernelKind};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// `(x, y, payoff)` columns the way the arena stores them: parallel slices
-/// with vacant slots poisoned to NaN in every column. Payoffs are quantised
-/// to small integers so exact payoff ties are common.
-fn points_strategy() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
-    vec((-50.0f64..50.0, -50.0f64..50.0, 0u32..4, 0u32..5), 0..80).prop_map(|raw| {
+/// `(x, y)` columns the way the arena stores them: parallel slices with
+/// vacant slots poisoned to NaN in both columns.
+fn points_strategy() -> impl Strategy<Value = Vec<(f64, f64)>> {
+    vec((-50.0f64..50.0, -50.0f64..50.0, 0u32..5), 0..80).prop_map(|raw| {
         raw.into_iter()
-            .map(|(x, y, payoff, occupancy)| {
-                if occupancy == 0 {
-                    (f64::NAN, f64::NAN, f64::NAN)
-                } else {
-                    (x, y, payoff as f64)
-                }
-            })
-            .collect()
-    })
-}
-
-/// Quantised variant: integer-valued coordinates and payoffs, so exact
-/// `(payoff, d2)` ties — the earliest-position tiebreak — occur routinely.
-fn lattice_strategy() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
-    vec((0u32..5, 0u32..5, 0u32..3, 0u32..6), 0..40).prop_map(|raw| {
-        raw.into_iter()
-            .map(|(x, y, payoff, occupancy)| {
-                if occupancy == 0 {
-                    (f64::NAN, f64::NAN, f64::NAN)
-                } else {
-                    (x as f64, y as f64, payoff as f64)
-                }
-            })
+            .map(|(x, y, occupancy)| if occupancy == 0 { (f64::NAN, f64::NAN) } else { (x, y) })
             .collect()
     })
 }
@@ -60,11 +35,8 @@ fn radius_strategy() -> impl Strategy<Value = f64> {
     })
 }
 
-fn split(points: &[(f64, f64, f64)]) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let xs = points.iter().map(|p| p.0).collect();
-    let ys = points.iter().map(|p| p.1).collect();
-    let payoffs = points.iter().map(|p| p.2).collect();
-    (xs, ys, payoffs)
+fn split(points: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>) {
+    points.iter().copied().unzip()
 }
 
 /// The kernels available on this CPU (always at least the scalar oracle).
@@ -88,39 +60,6 @@ fn visits(
     out
 }
 
-/// Naive filter-then-max payoff reference: collect every in-radius accepted
-/// candidate, then take argmax payoff, ties toward smaller squared distance,
-/// residual exact ties toward the earliest position.
-fn naive_best_payoff(
-    points: &[(f64, f64, f64)],
-    qx: f64,
-    qy: f64,
-    r2: f64,
-    accept: &dyn Fn(usize) -> bool,
-) -> Option<(usize, f64, f64)> {
-    let mut survivors: Vec<(usize, f64, f64)> = Vec::new();
-    for (pos, &(x, y, payoff)) in points.iter().enumerate() {
-        let (dx, dy) = (x - qx, y - qy);
-        let d2 = dx * dx + dy * dy;
-        // NaN-poisoned slots fail this comparison for every radius,
-        // including the unbounded one.
-        if d2 <= r2 && accept(pos) {
-            survivors.push((pos, d2, payoff));
-        }
-    }
-    survivors.into_iter().fold(None, |best, cand| match best {
-        None => Some(cand),
-        Some(incumbent) => {
-            let better = cand.2 > incumbent.2 || (cand.2 == incumbent.2 && cand.1 < incumbent.1);
-            if better {
-                Some(cand)
-            } else {
-                Some(incumbent)
-            }
-        }
-    })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -134,7 +73,7 @@ proptest! {
         qy in -60.0f64..60.0,
         r2 in radius_strategy(),
     ) {
-        let (xs, ys, _) = split(&points);
+        let (xs, ys) = split(&points);
         let oracle = visits(KernelKind::Scalar, &xs, &ys, qx, qy, r2);
         prop_assert!(
             oracle.windows(2).all(|w| w[0].0 < w[1].0),
@@ -159,7 +98,7 @@ proptest! {
         r2 in radius_strategy(),
         modulus in 1usize..5,
     ) {
-        let (xs, ys, _) = split(&points);
+        let (xs, ys) = split(&points);
         let oracle = kernels::nearest_within_sq_in(
             KernelKind::Scalar, &xs, &ys, qx, qy, r2, &mut |pos| !pos.is_multiple_of(modulus),
         );
@@ -172,68 +111,6 @@ proptest! {
                 oracle.map(|(p, d2)| (p, d2.to_bits())),
                 "{} nearest diverged from scalar", kind.name()
             );
-        }
-    }
-
-    /// The payoff-argmax op agrees with a naive filter-then-max reference on
-    /// every supported kernel (the reference applies `accept` to every
-    /// in-radius candidate; the kernel only consults it on improving ones —
-    /// for a pure predicate both select the same survivor).
-    #[test]
-    fn payoff_argmax_matches_filter_then_max(
-        points in points_strategy(),
-        qx in -60.0f64..60.0,
-        qy in -60.0f64..60.0,
-        r2 in radius_strategy(),
-        modulus in 1usize..5,
-    ) {
-        let (xs, ys, payoffs) = split(&points);
-        let accept = |pos: usize| !pos.is_multiple_of(modulus);
-        let oracle = naive_best_payoff(&points, qx, qy, r2, &accept);
-        for kind in supported_kinds() {
-            let got = kernels::best_payoff_within_sq_in(
-                kind, &xs, &ys, &payoffs, qx, qy, r2, &mut |pos| accept(pos),
-            );
-            prop_assert_eq!(
-                got.map(|(p, d2, w)| (p, d2.to_bits(), w.to_bits())),
-                oracle.map(|(p, d2, w)| (p, d2.to_bits(), w.to_bits())),
-                "{} payoff argmax diverged from filter-then-max", kind.name()
-            );
-        }
-    }
-
-    /// Exact-tie torture: on an integer lattice with quantised payoffs, the
-    /// `(payoff, d2)` tiebreak chain bottoms out at the earliest position,
-    /// identically on every kernel.
-    #[test]
-    fn payoff_ties_resolve_to_the_earliest_position_on_every_kernel(
-        points in lattice_strategy(),
-        qx in 0u32..5,
-        qy in 0u32..5,
-    ) {
-        let (qx, qy) = (qx as f64, qy as f64);
-        let (xs, ys, payoffs) = split(&points);
-        for r2 in [0.0, 1.0, 4.0, f64::INFINITY] {
-            let oracle = naive_best_payoff(&points, qx, qy, r2, &|_| true);
-            if let Some((pos, d2, payoff)) = oracle {
-                // The reference's survivor really is the earliest among its
-                // exact ties, by construction of the fold above.
-                let earlier_tie = points[..pos].iter().enumerate().any(|(i, &(x, y, w))| {
-                    let (dx, dy) = (x - qx, y - qy);
-                    i < pos && w == payoff && dx * dx + dy * dy == d2
-                });
-                prop_assert!(!earlier_tie, "reference must keep the earliest exact tie");
-            }
-            for kind in supported_kinds() {
-                let got = kernels::best_payoff_within_sq_in(
-                    kind, &xs, &ys, &payoffs, qx, qy, r2, &mut |_| true,
-                );
-                prop_assert_eq!(
-                    got.map(|(p, d2, w)| (p, d2.to_bits(), w.to_bits())),
-                    oracle.map(|(p, d2, w)| (p, d2.to_bits(), w.to_bits())),
-                    "{} tie resolution diverged at r2={}", kind.name(), r2
-                );
-            }
         }
     }
 }
