@@ -12,9 +12,11 @@
 //! Arguments are parsed strictly: an unrecognised flag, a positional token,
 //! a flag missing its value or a flag given twice prints a diagnostic plus
 //! the usage line and exits with code 2 (`--algos` is not `--algo`; it is
-//! rejected, not silently ignored). Environment knobs are validated eagerly
-//! — an unparsable `FTOA_KERNEL` or `FTOA_JOBS` aborts the run with a
-//! diagnostic before any work happens.
+//! rejected, not silently ignored). Every other failure — a bad flag value,
+//! an unreadable or malformed trace, an unparsable environment knob — prints
+//! only its diagnostic and exits with code 1. Environment knobs are
+//! validated eagerly: an unparsable `FTOA_KERNEL` or `FTOA_JOBS` aborts the
+//! run before any work happens.
 //!
 //! Runs the selected algorithms (default: all five; the flow-backed batch
 //! policies `batch-mf` / `batch-hun` must be named explicitly) over the
@@ -143,7 +145,6 @@ fn main() {
     };
     if let Err(message) = run(&cli) {
         eprintln!("error: {message}");
-        eprintln!("{USAGE}");
         std::process::exit(1);
     }
 }

@@ -86,10 +86,10 @@ pub enum Algo {
     /// The offline optimum.
     Opt,
     /// Windowed batch rounds solved as maximum bipartite matching
-    /// (Hopcroft–Karp), capacity-aware.
+    /// (augmenting paths, tasks in arrival order), capacity-aware.
     BatchMaxFlow,
     /// Windowed batch rounds solved as payoff-maximal maximum matching
-    /// (min-cost max-flow), capacity-aware.
+    /// (augmenting paths, tasks by payoff), capacity-aware.
     BatchHungarian,
 }
 

@@ -3,9 +3,10 @@
 //! The CLI parses its arguments strictly: unknown flags, positional tokens,
 //! missing values and duplicated flags are usage errors (exit code 2 plus
 //! the usage line), while runtime failures — including unparsable
-//! `FTOA_JOBS` / `FTOA_KERNEL` environment knobs, validated eagerly — exit
-//! with code 1 and a diagnostic. These tests pin that contract, and that
-//! `--threads N` produces byte-identical deterministic metrics at every N.
+//! `FTOA_JOBS` / `FTOA_KERNEL` environment knobs, validated eagerly, and
+//! malformed traces — exit with code 1 and a diagnostic, without the usage
+//! line. These tests pin that contract, and that `--threads N` produces
+//! byte-identical deterministic metrics at every N.
 
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
@@ -69,6 +70,7 @@ fn unparsable_jobs_env_is_a_hard_error() {
     assert_eq!(out.status.code(), Some(1), "stderr: {}", stderr_of(&out));
     let err = stderr_of(&out);
     assert!(err.contains("FTOA_JOBS") && err.contains("banana"), "got: {err}");
+    assert!(!err.contains("usage: replay"), "a runtime error is not a usage error: {err}");
 }
 
 /// Output is byte-identical at any thread count, end to end through the
@@ -152,6 +154,7 @@ fn oversized_trace_header_is_a_line_numbered_error() {
         let err = stderr_of(&out);
         assert!(err.contains(&format!("trace line {line}:")), "`{edit}`: {err}");
         assert!(err.contains("(slot, cell) types"), "`{edit}`: {err}");
+        assert!(!err.contains("usage: replay"), "`{edit}`: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -201,4 +204,5 @@ fn far_event_time_is_a_line_numbered_error_not_a_hang() {
     let err = stderr_of(&out);
     assert!(err.contains("trace line 8:"), "got: {err}");
     assert!(err.contains("-1000000000000") && err.contains("[-180, 360]"), "got: {err}");
+    assert!(!err.contains("usage: replay"), "got: {err}");
 }

@@ -1,9 +1,10 @@
 //! Hopcroft–Karp maximum bipartite matching.
 //!
-//! Runs in `O(E * sqrt(V))` and serves two purposes in this workspace: the
-//! solver behind [`crate::BipartiteGraph::max_matching`], which the batch
-//! rounds call, and an independent oracle to cross-check the max-flow based
-//! matchings in tests and property tests.
+//! Runs in `O(E * sqrt(V))`. OPT solves its offline matching with
+//! [`hopcroft_karp`]; [`crate::BipartiteGraph::max_matching`] runs the same
+//! search for the benchmark's flow probe and for the debug-build check of
+//! every batch round; and both serve as an independent oracle to
+//! cross-check the max-flow based matchings in tests and property tests.
 //!
 //! The solver works on the graph in compressed sparse row form: left vertex
 //! `l`'s neighbours are `right[first[l]..first[l + 1]]`. Match and distance

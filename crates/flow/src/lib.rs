@@ -23,13 +23,16 @@
 //!   implementation).
 //! * [`dinic`][mod@dinic] — the asymptotically faster algorithm used by default for the
 //!   large guide/OPT instances.
-//! * [`hopcroft_karp`][mod@hopcroft_karp] — a dedicated maximum bipartite matching algorithm,
-//!   used both as an independent cross-check in tests and as the solver of
-//!   [`BipartiteGraph::max_matching`]. It runs on a CSR graph with `u32`
+//! * [`hopcroft_karp`][mod@hopcroft_karp] — a dedicated maximum bipartite matching algorithm:
+//!   OPT's solver, the solver of [`BipartiteGraph::max_matching`], and an
+//!   independent cross-check in tests. It runs on a CSR graph with `u32`
 //!   match and distance arrays and one queue per solve.
 //! * [`min_cost_max_flow`] — min-cost max-flow, for the paper's remark that a
-//!   travel-cost-weighted guide can be derived with a mincost-maxflow solver,
-//!   and for the payoff-optimal batch rounds. Its network,
+//!   travel-cost-weighted guide can be derived with a mincost-maxflow solver
+//!   (the guide's `MinCostMaxCardinality` ablation). Through
+//!   [`BipartiteGraph::min_cost_max_matching`] it also serves the
+//!   benchmark's flow probe, the tests and the debug-build check of the
+//!   payoff-ordered batch rounds. Its network,
 //!   [`McmfNetwork`][min_cost::McmfNetwork], only records its edges; a
 //!   solve lays them out in CSR form, in add order per node, and reuses its
 //!   search buffers across augmenting paths.

@@ -3,9 +3,11 @@
 //! The paper notes (Section 4) that the offline guide can additionally
 //! minimise total travel cost by weighting worker→task edges with the travel
 //! time and running a mincost-maxflow algorithm. This module provides that
-//! solver; `ftoa-core::guide` exposes it behind the `GuideObjective::MinCost`
-//! option, and [`crate::BipartiteGraph::min_cost_max_matching`] solves the
-//! payoff-optimal batch rounds with it.
+//! solver; `ftoa-core::guide` exposes it behind the
+//! `GuideObjective::MinCostMaxCardinality` option, and
+//! [`crate::BipartiteGraph::min_cost_max_matching`] wraps it for the
+//! benchmark's flow probe, the tests, and the debug-build check that every
+//! payoff-ordered batch round is payoff-maximal.
 //!
 //! Implementation: Bellman–Ford/SPFA-based successive shortest paths on the
 //! residual network, which handles the (non-negative) travel costs used here

@@ -7,9 +7,11 @@
 //! unmatched stay available for later windows until they expire.
 //!
 //! Each window is one round of the batch policy GR shares with the
-//! flow-backed baselines ([`BatchFlowPolicy`]): every worker is one left
-//! vertex, and Hopcroft–Karp finds the maximum matching. The module docs of
-//! [`crate::algorithms::batch_flow`] describe how a round's graph is built.
+//! flow-backed baselines ([`BatchFlowPolicy`]): every worker brings one
+//! unit, tasks come in arrival order, and each task takes its oldest free
+//! feasible worker or runs one augmenting-path search, which makes the
+//! round a maximum matching. The module docs of
+//! [`crate::algorithms::batch_flow`] describe the round and why it is exact.
 
 use crate::algorithms::batch_flow::{BatchFlowPolicy, RoundObjective};
 use crate::algorithms::OnlineAlgorithm;
