@@ -19,7 +19,7 @@
 
 use experiments::figures::fig5_scalability;
 use experiments::SuiteOptions;
-use std::time::Instant;
+use ftoa_core::Stopwatch;
 
 fn quick_mode() -> bool {
     std::env::var("FTOA_BENCH_QUICK").map(|v| v == "1").unwrap_or(false)
@@ -36,7 +36,7 @@ fn main() {
 
     let run = |threads: usize| {
         let opts = SuiteOptions::scalability().with_threads(threads);
-        let start = Instant::now();
+        let start = Stopwatch::start();
         let report = fig5_scalability(object_scale, &opts);
         (start.elapsed().as_secs_f64(), report)
     };
@@ -50,6 +50,7 @@ fn main() {
     );
 
     let speedup = serial_seconds / parallel_seconds.max(1e-9);
+    #[allow(clippy::disallowed_methods, reason = "records the host's core count, sizes no pool")]
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "scalability sweep (scale {object_scale}, {cores} core(s)): serial {serial_seconds:.3}s \

@@ -1,4 +1,4 @@
-//! Ablation studies beyond the paper's figures (DESIGN.md §4):
+//! Ablation studies beyond the paper's figures:
 //!
 //! * prediction-noise sensitivity of POLAR vs. POLAR-OP,
 //! * guide objective (max-cardinality vs. min-cost max-cardinality).

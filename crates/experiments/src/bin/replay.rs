@@ -9,14 +9,17 @@
 //!        [--deterministic-only] [--out metrics.json]
 //! ```
 //!
-//! Arguments are parsed strictly: an unrecognised flag, a positional token,
-//! a flag missing its value or a flag given twice prints a diagnostic plus
-//! the usage line and exits with code 2 (`--algos` is not `--algo`; it is
-//! rejected, not silently ignored). Every other failure — a bad flag value,
-//! an unreadable or malformed trace, an unparsable environment knob — prints
-//! only its diagnostic and exits with code 1. Environment knobs are
-//! validated eagerly: an unparsable `FTOA_KERNEL` or `FTOA_JOBS` aborts the
-//! run before any work happens.
+//! Arguments are parsed strictly, before any file is read. An unrecognised
+//! flag, a positional token, a flag missing its value, a flag given twice,
+//! a missing `--trace` (or `--capture`), an unknown algorithm, backend or
+//! preset name, or an unparsable `--threads`, `--seed`, `--scale` or
+//! `--ratio` value prints a diagnostic plus the usage line and exits with
+//! code 2 (`--algos` is not `--algo`; it is rejected, not silently ignored).
+//! Every other failure — an unreadable or malformed trace, an unparsable
+//! environment knob, an unwritable `--out` — prints only its diagnostic and
+//! exits with code 1. Environment knobs are validated eagerly: an
+//! unparsable `FTOA_KERNEL` or `FTOA_JOBS` aborts the run before any work
+//! happens.
 //!
 //! Runs the selected algorithms (default: all five; the flow-backed batch
 //! policies `batch-mf` / `batch-hun` must be named explicitly) over the
@@ -79,54 +82,105 @@ const VALUE_FLAGS: &[&str] = &[
     "--ratio",
 ];
 
+/// What a run reads: a trace to replay, or a named preset to capture.
+enum Source {
+    Trace(String),
+    Capture(String, Preset),
+}
+
+/// Generates a `--capture` preset from `--seed`, `--scale` and `--ratio`.
+type Preset = fn(u64, f64, f64) -> Scenario;
+
+/// The preset called `name`, or `None` if there is none.
+fn preset(name: &str) -> Option<Preset> {
+    Some(match name {
+        "fixture" => |_, _, _| presets::ci_fixture(),
+        "fixture-weighted" => |_, _, _| presets::ci_fixture_weighted(),
+        "hotspot" => |seed, scale, _| presets::hotspot_skewed(scale, seed),
+        "rush-hour" => |seed, scale, _| presets::rush_hour(scale, seed),
+        "imbalance" => |seed, scale, ratio| presets::imbalance(ratio, scale, seed),
+        "synthetic" => |seed, scale, _| {
+            workload::SyntheticConfig {
+                num_workers: ((20_000.0 * scale) as usize).max(1),
+                num_tasks: ((20_000.0 * scale) as usize).max(1),
+                ..Default::default()
+            }
+            .generate(seed)
+        },
+        _ => return None,
+    })
+}
+
 /// Strictly parsed command line: every token is either a known value flag
-/// (with its value), a known boolean flag, or an error. No pair-scanning —
-/// a typo like `--algos` is a hard usage error, never silently ignored.
+/// (with its value), a known boolean flag, or an error, and every value is
+/// checked here. No pair-scanning — a typo like `--algos` is a hard usage
+/// error, never silently ignored.
 struct Cli {
-    values: Vec<(&'static str, String)>,
+    source: Source,
+    algos: Vec<Algo>,
+    backend: IndexBackend,
+    /// `None` defers to `FTOA_JOBS`, which `run` validates.
+    threads: Option<usize>,
+    seed: u64,
+    scale: f64,
+    ratio: f64,
+    out: Option<String>,
     deterministic_only: bool,
 }
 
 impl Cli {
     /// Parse the argument list. `Ok(None)` means `--help` was requested.
     fn parse(args: &[String]) -> Result<Option<Cli>, String> {
-        let mut cli = Cli { values: Vec::new(), deterministic_only: false };
+        let mut values: Vec<(&'static str, &str)> = Vec::new();
+        let mut deterministic_only = false;
         let mut iter = args.iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--help" | "-h" => return Ok(None),
                 "--deterministic-only" => {
-                    if cli.deterministic_only {
+                    if deterministic_only {
                         return Err("flag --deterministic-only given twice".into());
                     }
-                    cli.deterministic_only = true;
+                    deterministic_only = true;
                 }
                 other => match VALUE_FLAGS.iter().find(|&&f| f == other) {
                     Some(&flag) => {
                         let value =
                             iter.next().ok_or_else(|| format!("{flag} is missing its value"))?;
-                        if cli.values.iter().any(|(f, _)| *f == flag) {
+                        if values.iter().any(|(f, _)| *f == flag) {
                             return Err(format!("flag {flag} given twice"));
                         }
-                        cli.values.push((flag, value.clone()));
+                        values.push((flag, value));
                     }
                     None => return Err(format!("unrecognised argument `{other}`")),
                 },
             }
         }
-        Ok(Some(cli))
+        let value = |flag: &str| values.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v);
+        let source = match (value("--capture"), value("--trace")) {
+            (Some(name), _) => Source::Capture(
+                name.to_owned(),
+                preset(name).ok_or_else(|| format!("unknown preset `{name}`"))?,
+            ),
+            (None, Some(path)) => Source::Trace(path.to_owned()),
+            (None, None) => return Err("missing --trace <file> (or --capture <preset>)".into()),
+        };
+        Ok(Some(Cli {
+            source,
+            algos: parse_algos(value("--algo").unwrap_or("all"))?,
+            backend: parse_backend(value("--backend").unwrap_or("grid"))?,
+            threads: value("--threads").map(|v| parse_number("--threads", v)).transpose()?,
+            seed: value("--seed").map_or(Ok(2017), |v| parse_number("--seed", v))?,
+            scale: value("--scale").map_or(Ok(0.01), |v| parse_number("--scale", v))?,
+            ratio: value("--ratio").map_or(Ok(1.0), |v| parse_number("--ratio", v))?,
+            out: value("--out").map(str::to_owned),
+            deterministic_only,
+        }))
     }
+}
 
-    fn value(&self, flag: &str) -> Option<&str> {
-        self.values.iter().find(|(f, _)| *f == flag).map(|(_, v)| v.as_str())
-    }
-
-    fn parse_or<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, String> {
-        match self.value(flag) {
-            Some(v) => v.parse().map_err(|_| format!("invalid value for {flag}: `{v}`")),
-            None => Ok(default),
-        }
-    }
+fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("invalid value for {flag}: `{value}`"))
 }
 
 fn main() {
@@ -155,16 +209,12 @@ fn run(cli: &Cli) -> Result<(), String> {
     // be silently ignored because the chosen path happens not to read it.
     let kernel = KernelKind::from_env()?;
     let jobs_override = ftoa_runtime::jobs_env_override()?;
-    if let Some(preset) = cli.value("--capture") {
-        return capture(cli, preset);
-    }
-    let trace_path =
-        cli.value("--trace").ok_or("missing --trace <file> (or --capture <preset>)")?;
-    let algos = parse_algos(cli.value("--algo").unwrap_or("all"))?;
-    let backend = parse_backend(cli.value("--backend").unwrap_or("grid"))?;
-    let deterministic_only = cli.deterministic_only;
+    let trace_path = match &cli.source {
+        Source::Capture(name, preset) => return capture(cli, name, *preset),
+        Source::Trace(path) => path.as_str(),
+    };
     // 0 resolves to FTOA_JOBS / available parallelism inside the pool.
-    let threads = JobPool::new(cli.parse_or("--threads", jobs_override.unwrap_or(0))?).threads();
+    let threads = JobPool::new(cli.threads.unwrap_or(jobs_override.unwrap_or(0))).threads();
 
     let trace = TraceReader::read_file(trace_path).map_err(|e| e.to_string())?;
     // On a weighted (v2) trace, report how much of the total worker capacity
@@ -178,14 +228,14 @@ fn run(cli: &Cli) -> Result<(), String> {
         scenario.stream.num_workers(),
         scenario.stream.num_tasks(),
         scenario.stream.len(),
-        backend.name(),
+        cli.backend.name(),
         kernel.name(),
         threads,
         if threads == 1 { "" } else { "s" }
     );
 
-    let opts = SuiteOptions::default().with_backend(backend).with_threads(threads);
-    let results = ReplayConfig::new(&scenario).options(opts).algos(&algos).run();
+    let opts = SuiteOptions::default().with_backend(cli.backend).with_threads(threads);
+    let results = ReplayConfig::new(&scenario).options(opts).algos(&cli.algos).run();
     for r in &results {
         eprintln!(
             "  {:<14} matched {:>6}  ({} candidates examined, {:.3}s)",
@@ -198,7 +248,7 @@ fn run(cli: &Cli) -> Result<(), String> {
 
     let mut metrics = ReplayMetrics::new(
         trace_path,
-        backend.name(),
+        cli.backend.name(),
         scenario.stream.num_workers(),
         scenario.stream.num_tasks(),
         scenario.stream.len(),
@@ -208,29 +258,13 @@ fn run(cli: &Cli) -> Result<(), String> {
     if let Some(total) = total_capacity {
         metrics = metrics.with_total_capacity(total);
     }
-    emit(cli, &metrics.to_json(deterministic_only))
+    emit(cli, &metrics.to_json(cli.deterministic_only))
 }
 
-fn capture(cli: &Cli, preset: &str) -> Result<(), String> {
-    let seed: u64 = cli.parse_or("--seed", 2017)?;
-    let scale: f64 = cli.parse_or("--scale", 0.01)?;
-    let ratio: f64 = cli.parse_or("--ratio", 1.0)?;
-    let scenario: Scenario = match preset {
-        "fixture" => presets::ci_fixture(),
-        "fixture-weighted" => presets::ci_fixture_weighted(),
-        "hotspot" => presets::hotspot_skewed(scale, seed),
-        "rush-hour" => presets::rush_hour(scale, seed),
-        "imbalance" => presets::imbalance(ratio, scale, seed),
-        "synthetic" => workload::SyntheticConfig {
-            num_workers: ((20_000.0 * scale) as usize).max(1),
-            num_tasks: ((20_000.0 * scale) as usize).max(1),
-            ..Default::default()
-        }
-        .generate(seed),
-        other => return Err(format!("unknown preset `{other}`")),
-    };
+fn capture(cli: &Cli, name: &str, preset: Preset) -> Result<(), String> {
+    let scenario = preset(cli.seed, cli.scale, cli.ratio);
     eprintln!(
-        "captured preset `{preset}`: {} workers, {} tasks, {} events",
+        "captured preset `{name}`: {} workers, {} tasks, {} events",
         scenario.stream.num_workers(),
         scenario.stream.num_tasks(),
         scenario.stream.len()
@@ -239,7 +273,7 @@ fn capture(cli: &Cli, preset: &str) -> Result<(), String> {
 }
 
 fn emit(cli: &Cli, content: &str) -> Result<(), String> {
-    match cli.value("--out") {
+    match &cli.out {
         Some(path) => {
             if let Some(parent) = std::path::Path::new(path).parent() {
                 if !parent.as_os_str().is_empty() {

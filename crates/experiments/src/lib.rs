@@ -9,15 +9,18 @@
 //! * [`metrics`] — the canonical `ftoa-replay-metrics v1` JSON document the
 //!   `replay` binary emits; its deterministic-only rendering is what the CI
 //!   regression gate diffs against the golden file.
-//! * [`figures`] — the parameter sweeps of Figures 4, 5 and 6 plus the extra
-//!   ablations called out in DESIGN.md.
+//! * [`figures`] — the parameter sweeps of Figures 4, 5 and 6 plus two
+//!   ablations beyond them (prediction noise and guide objective).
 //! * [`table5`] — the offline-prediction comparison (ER / RMLSE of the seven
 //!   predictors on the two city workloads).
 //!
 //! Binaries (`figure4`, `figure5`, `figure6`, `table5`, `ablation`,
 //! `run_all`) print the same series the paper plots; the `replay` binary
-//! captures and replays trace files; the Criterion benches under `benches/`
-//! time the same sweeps at a reduced scale.
+//! captures and replays trace files; the `bench_parallel_sweep` bench runs
+//! the scalability sweep serial and at four threads and checks that both
+//! outputs are byte-identical.
+
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod figures;
 pub mod metrics;

@@ -1,16 +1,19 @@
 //! End-to-end tests of the `replay` binary's command-line contract.
 //!
 //! The CLI parses its arguments strictly: unknown flags, positional tokens,
-//! missing values and duplicated flags are usage errors (exit code 2 plus
-//! the usage line), while runtime failures — including unparsable
-//! `FTOA_JOBS` / `FTOA_KERNEL` environment knobs, validated eagerly, and
-//! malformed traces — exit with code 1 and a diagnostic, without the usage
-//! line. These tests pin that contract, and that `--threads N` produces
-//! byte-identical deterministic metrics at every N.
+//! missing values, duplicated flags, a missing `--trace`, unknown algorithm,
+//! backend or preset names and unparsable numbers are usage errors (exit
+//! code 2 plus the usage line, before any file is read), while runtime
+//! failures — including unparsable `FTOA_JOBS` / `FTOA_KERNEL` environment
+//! knobs, validated eagerly, and malformed traces — exit with code 1 and a
+//! diagnostic, without the usage line. These tests pin that contract, and
+//! that `--threads N` produces byte-identical deterministic metrics at
+//! every N.
 
+use ftoa_core::Stopwatch;
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn replay() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_replay"));
@@ -51,6 +54,29 @@ fn missing_values_and_duplicate_flags_are_usage_errors() {
     let out = replay().args(["--trace", "a.trace", "--trace", "b.trace"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     assert!(stderr_of(&out).contains("flag --trace given twice"));
+}
+
+/// A missing `--trace`, an unknown name and an unparsable number exit 2
+/// with the usage line. No case names a readable trace, so exit 2 also
+/// shows that the arguments were rejected before any file was read.
+#[test]
+fn bad_flag_values_are_usage_errors() {
+    let cases: [(&[&str], &str); 8] = [
+        (&["--algo", "gr"], "missing --trace <file> (or --capture <preset>)"),
+        (&["--trace", "missing.trace", "--algo", "gr,bogus"], "unknown algorithm `bogus`"),
+        (&["--trace", "missing.trace", "--backend", "octree"], "unknown backend `octree`"),
+        (&["--capture", "bogus", "--out", "x.trace"], "unknown preset `bogus`"),
+        (&["--trace", "missing.trace", "--threads", "four"], "invalid value for --threads: `four`"),
+        (&["--capture", "hotspot", "--seed", "-1"], "invalid value for --seed: `-1`"),
+        (&["--capture", "hotspot", "--scale", "half"], "invalid value for --scale: `half`"),
+        (&["--capture", "imbalance", "--ratio", "1:2"], "invalid value for --ratio: `1:2`"),
+    ];
+    for (args, message) in cases {
+        let out = replay().args(args).output().unwrap();
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(message) && err.contains("usage: replay"), "{args:?}: {err}");
+    }
 }
 
 #[test]
@@ -190,9 +216,9 @@ fn far_event_time_is_a_line_numbered_error_not_a_hang() {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap();
-    let deadline = Instant::now() + Duration::from_secs(30);
+    let started = Stopwatch::start();
     while child.try_wait().unwrap().is_none() {
-        if Instant::now() > deadline {
+        if started.elapsed() > Duration::from_secs(30) {
             child.kill().ok();
             panic!("replay still running after 30 s");
         }

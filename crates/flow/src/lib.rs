@@ -43,6 +43,8 @@
 //!   with one stable counting-sort pass when a solve starts, so a caller
 //!   may add them in any order across left vertices.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod bipartite;
 pub mod dinic;
 pub mod edmonds_karp;

@@ -1,13 +1,19 @@
 //! The engine's sanctioned wall-clock: runtime metrics only.
 //!
 //! Everything this workspace promises rests on byte-exact determinism, so
-//! reading the wall clock is confined to this one module (enforced by
-//! `ftoa-tidy` rule R1 — `wall-clock`). A [`Stopwatch`] may time work for the
+//! reading the wall clock is confined to this one module: `clippy.toml` bans
+//! `Instant` and `SystemTime` everywhere else, and this module carries the
+//! one allow. A [`Stopwatch`] may time work for the
 //! *non-deterministic* metric fields (`runtime`, `preprocessing`), which the
 //! deterministic renderings (`--deterministic-only` replay JSON, sweep CSVs)
 //! already omit. No simulation decision may ever depend on a value produced
 //! here.
-// tidy:module(wall-clock) -- the one sanctioned clock: feeds only the runtime metric fields that deterministic outputs omit
+
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the one sanctioned clock: feeds only the runtime metric fields that deterministic outputs omit"
+)]
 
 use std::time::{Duration, Instant};
 

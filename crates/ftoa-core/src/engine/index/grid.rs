@@ -175,7 +175,7 @@ impl<T: SpatialItem> GridCandidateIndex<T> {
     /// Scan one bucket for the nearest query: count every member, keep the
     /// nearest in-radius feasible one (squared-distance domain, earliest
     /// member wins exact ties — the strict `<` improvement test below).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments, reason = "private hot-loop helper of the ring walk")]
     fn scan_bucket_nearest(
         &self,
         arena: &ItemArena<T>,

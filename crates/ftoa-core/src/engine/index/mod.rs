@@ -147,9 +147,7 @@ impl IndexBackend {
 /// The engine's monomorphised backend holder: one enum variant per backend,
 /// dispatched with a `match` instead of a `Box<dyn ...>` virtual call, so
 /// query closures inline into the kernel loops on the hot path.
-// One instance exists per engine run (never stored per item), so the size
-// skew between the hybrid variant and the linear scan cannot multiply.
-#[allow(clippy::large_enum_variant)]
+#[allow(clippy::large_enum_variant, reason = "one per engine run, never stored per item")]
 pub enum EngineIndex<T> {
     /// See [`LinearScanIndex`].
     Linear(LinearScanIndex<T>),

@@ -208,10 +208,7 @@ pub fn for_each_within_sq(
 /// exactness-test entry point). `kind` must be supported on this CPU; the
 /// public selection paths ([`KernelKind::from_env`], [`force_kernel`])
 /// guarantee that.
-// The single place the target-feature kernels are entered: the workspace
-// denies `unsafe_code`, and only this dispatcher (plus the kernel modules
-// themselves) opts back in.
-#[allow(unsafe_code)]
+#[allow(unsafe_code, reason = "the single place the target-feature kernels are entered")]
 #[inline]
 pub fn for_each_within_sq_in(
     kind: KernelKind,

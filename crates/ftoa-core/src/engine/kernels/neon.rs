@@ -16,8 +16,9 @@
 //!
 //! This module opts back into `unsafe` (the workspace denies it elsewhere);
 //! `unsafe_op_in_unsafe_fn` is denied so every pointer intrinsic sits in a
-//! scoped block with a `// SAFETY:` comment, as ftoa-tidy rule R7 requires.
-#![allow(unsafe_code)]
+//! scoped block with a `// SAFETY:` comment, as
+//! `clippy::undocumented_unsafe_blocks` requires.
+#![allow(unsafe_code, reason = "explicit SIMD intrinsics; every block states its preconditions")]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use core::arch::aarch64::{

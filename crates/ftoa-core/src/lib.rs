@@ -27,6 +27,8 @@
 //! * [`instance`] / [`result`] — the common input/output types of all
 //!   algorithms, including runtime, memory and per-event engine accounting.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod algorithms;
 pub mod engine;
 pub mod guide;

@@ -3,9 +3,10 @@
 //! The paper reports the memory cost of each algorithm (Figures 4–6, bottom
 //! rows). Reproducing OS-level RSS measurements is noisy and
 //! allocator-dependent, so instead each algorithm reports the peak size of
-//! the data structures it keeps alive, computed with the helpers below (see
-//! DESIGN.md §2 for the substitution rationale). A small constant base cost
-//! is added to model the runtime overhead every algorithm shares.
+//! the data structures it keeps alive, computed with the helpers below: the
+//! figure is the same on every run and host, so it can be compared across
+//! algorithms. A small constant base cost is added to model the runtime
+//! overhead every algorithm shares.
 
 use std::mem::size_of;
 

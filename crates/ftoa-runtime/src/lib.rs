@@ -36,6 +36,8 @@
 //! through [`jobs_env_override`]; automatic pools reaching a bad value via
 //! [`available_jobs`] panic with the same message.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -73,6 +75,7 @@ pub fn jobs_env_override() -> Result<Option<usize>, String> {
 ///
 /// Panics if `FTOA_JOBS` is set to anything that is not a positive integer
 /// (see the crate docs for the contract).
+#[allow(clippy::disallowed_methods, reason = "the one place that sizes a pool from the host")]
 pub fn available_jobs() -> usize {
     match jobs_env_override() {
         Ok(Some(n)) => n,
@@ -117,6 +120,7 @@ impl JobPool {
     /// the remaining queue is abandoned — workers stop pulling new items as
     /// soon as they finish their current one — and the panic is propagated
     /// on the calling thread after the scope joins.
+    #[allow(clippy::disallowed_methods, reason = "the one pool; its reduction is ordered")]
     pub fn par_map_indexed<I, R, F>(&self, items: Vec<I>, f: F) -> Vec<R>
     where
         I: Send,

@@ -11,6 +11,8 @@
 //! algorithmic logic so that the algorithm crates (`flow`, `ftoa-core`, …)
 //! can depend on them without cycles.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod assignment;
 pub mod candidate;
 pub mod config;

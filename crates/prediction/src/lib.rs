@@ -13,6 +13,8 @@
 //! the [`SpatioTemporalMatrix`] count representation, the multi-day
 //! [`HistoryStore`] they train on and the two evaluation metrics.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub mod features;
 pub mod history;
 pub mod linalg;

@@ -4,7 +4,8 @@
 //! Only the operations actually needed are provided: dense matrices,
 //! matrix–vector/matrix–matrix products, Gaussian elimination with partial
 //! pivoting, and ridge regression via the normal equations. Implemented here
-//! rather than pulling in an external linear-algebra crate (see DESIGN.md §5).
+//! rather than pulling in an external linear-algebra crate, because the
+//! workspace builds offline from in-repo code only.
 
 use std::fmt;
 
@@ -135,7 +136,7 @@ pub fn solve(a: &DenseMatrix, b: &[f64]) -> Option<Vec<f64>> {
             if factor == 0.0 {
                 continue;
             }
-            #[allow(clippy::needless_range_loop)] // two rows of `aug` are borrowed
+            #[allow(clippy::needless_range_loop, reason = "two rows of `aug` are borrowed")]
             for k in col..=n {
                 aug[row][k] -= factor * aug[col][k];
             }

@@ -1,8 +1,8 @@
-#![allow(clippy::needless_range_loop)] // index loops mirror the math notation
-
 //! Neural Network (NN): a small multilayer perceptron trained with
 //! mini-batch SGD on the recent-period features plus exogenous covariates
 //! (weather, position), as in the paper's NN baseline.
+
+#![allow(clippy::needless_range_loop, reason = "index loops mirror the math notation")]
 
 use crate::features::FeatureExtractor;
 use crate::history::{DayMeta, HistoryStore, Quantity};

@@ -2,11 +2,11 @@
 //!
 //! The paper's PAQ baseline answers predictive aggregate queries over the
 //! moving-object trajectories of the most recent hours. Our history store is
-//! aggregated per day, so the adaptation used here (documented in DESIGN.md)
-//! is a *recency-weighted aggregation*: the prediction for `(slot, cell)` is
-//! an exponentially decayed average of the counts at the same `(slot, cell)`
-//! over the most recent `window` days, which preserves the defining property
-//! of PAQ — it reacts to recent observations rather than long-run averages.
+//! aggregated per day, so the adaptation used here is a *recency-weighted
+//! aggregation*: the prediction for `(slot, cell)` is an exponentially
+//! decayed average of the counts at the same `(slot, cell)` over the most
+//! recent `window` days, which preserves the defining property of PAQ — it
+//! reacts to recent observations rather than long-run averages.
 
 use crate::history::{DayMeta, HistoryStore, Quantity};
 use crate::matrix::SpatioTemporalMatrix;

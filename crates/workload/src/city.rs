@@ -3,8 +3,8 @@
 //! The paper evaluates on proprietary taxi-calling logs from Beijing and
 //! Hangzhou (Table 3: ≈50k workers and ≈50k tasks per day, a 20 × 30 grid of
 //! 0.01° × 0.01° cells, 12 time slots, `D_w = 2`, `D_r ∈ {0.5 … 1.5}`). Those
-//! logs are not available, so this module provides the substitution described
-//! in DESIGN.md: a generative city model with
+//! logs are not available, so this module substitutes a generative city
+//! model with
 //!
 //! * a hotspot mixture for the spatial distribution (business districts,
 //!   railway stations, …) with workers more dispersed than tasks,

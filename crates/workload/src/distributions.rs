@@ -1,9 +1,9 @@
 //! Self-contained random distributions.
 //!
-//! Implemented here instead of pulling in `rand_distr` (DESIGN.md §5): the
-//! generators need a normal sampler (Box–Muller), truncation helpers, a 2-D
-//! diagonal Gaussian, a Poisson sampler and the normal CDF (for analytic
-//! expected counts).
+//! Implemented here instead of pulling in `rand_distr`, because the
+//! workspace builds offline from in-repo code only. The generators need a
+//! normal sampler (Box–Muller), truncation helpers, a 2-D diagonal Gaussian,
+//! a Poisson sampler and the normal CDF (for analytic expected counts).
 
 use rand::Rng;
 

@@ -4,7 +4,7 @@
 //! deadlines and spatial/temporal normal distributions are swept per Table 4,
 //! and (ii) proprietary taxi-calling traces from Beijing and Hangzhou
 //! (Table 3). The traces are not publicly available, so this crate provides a
-//! faithful *generator substitution* (see DESIGN.md §2): a hotspot-based city
+//! faithful *generator substitution* (see [`city`]): a hotspot-based city
 //! trace generator with rush-hour temporal structure, weekday/weekend and
 //! weather effects, and day-to-day Poisson noise, parameterised to the
 //! Table 3 scales. The generator also produces multi-week histories so the
@@ -26,6 +26,8 @@
 //! * [`scenario`] — the bundled output consumed by `ftoa-core` and the
 //!   experiment harness: a problem configuration, an online event stream and
 //!   the predicted count matrices feeding the offline guide.
+
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
 pub mod city;
 pub mod distributions;

@@ -4,6 +4,8 @@
 //! users (and the examples/integration tests in this repository) can depend
 //! on a single `ftoa` crate.
 
+#![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
+
 pub use experiments;
 pub use flow;
 pub use ftoa_core as core_algorithms;
