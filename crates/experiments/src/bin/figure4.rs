@@ -5,17 +5,26 @@
 //!
 //! `--scale` multiplies the paper's object counts (default 0.25 so the full
 //! figure regenerates in minutes on a laptop; use `--scale 1.0` for the
-//! paper-sized instances).
+//! paper-sized instances). Arguments are parsed strictly (see
+//! `experiments::cli`).
 
+use experiments::cli;
 use experiments::figures;
 use experiments::runner::SuiteOptions;
 
+const USAGE: &str =
+    "usage: figure4 [--sweep workers|tasks|deadline|grid|all] [--scale F] [--no-opt]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let sweep = arg_value(&args, "--sweep").unwrap_or_else(|| "all".to_string());
-    let scale: f64 = arg_value(&args, "--scale").and_then(|v| v.parse().ok()).unwrap_or(0.25);
-    let opts =
-        SuiteOptions { include_opt: !args.iter().any(|a| a == "--no-opt"), ..Default::default() };
+    let (sweep, scale, include_opt) =
+        cli::parse_or_exit(USAGE, &["--sweep", "--scale"], &["--no-opt"], |args| {
+            Ok((
+                args.name("--sweep", &["workers", "tasks", "deadline", "grid", "all"], "all")?,
+                args.number("--scale", 0.25)?,
+                !args.has("--no-opt"),
+            ))
+        });
+    let opts = SuiteOptions { include_opt, ..Default::default() };
 
     println!("Figure 4 reproduction (object scale {scale}, OPT included: {})\n", opts.include_opt);
     let run = |name: &str| sweep == "all" || sweep == name;
@@ -31,8 +40,4 @@ fn main() {
     if run("grid") {
         println!("{}", figures::fig4_vary_grid(scale, &opts).to_text());
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
 }

@@ -7,19 +7,31 @@
 //! Defaults: `--scale 0.25` for the synthetic sweeps, `--city-scale-down 10`
 //! for the city workloads (≈5k workers and tasks per day), and the
 //! scalability sweep runs at `--scale / 10` because its paper sizes reach one
-//! million objects per side.
+//! million objects per side. Arguments are parsed strictly (see
+//! `experiments::cli`).
 
+use experiments::cli;
 use experiments::figures;
 use experiments::runner::SuiteOptions;
 
+const USAGE: &str = "usage: figure5 [--sweep slots|scale|beijing|hangzhou|all] [--scale F] \
+                     [--city-scale-down N] [--no-opt]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let sweep = arg_value(&args, "--sweep").unwrap_or_else(|| "all".to_string());
-    let scale: f64 = arg_value(&args, "--scale").and_then(|v| v.parse().ok()).unwrap_or(0.25);
-    let city_scale_down: usize =
-        arg_value(&args, "--city-scale-down").and_then(|v| v.parse().ok()).unwrap_or(10);
-    let opts =
-        SuiteOptions { include_opt: !args.iter().any(|a| a == "--no-opt"), ..Default::default() };
+    let (sweep, scale, city_scale_down, include_opt) = cli::parse_or_exit(
+        USAGE,
+        &["--sweep", "--scale", "--city-scale-down"],
+        &["--no-opt"],
+        |args| {
+            Ok((
+                args.name("--sweep", &["slots", "scale", "beijing", "hangzhou", "all"], "all")?,
+                args.number("--scale", 0.25)?,
+                args.number::<usize>("--city-scale-down", 10)?,
+                !args.has("--no-opt"),
+            ))
+        },
+    );
+    let opts = SuiteOptions { include_opt, ..Default::default() };
 
     println!("Figure 5 reproduction (object scale {scale}, city scale-down 1/{city_scale_down})\n");
     let run = |name: &str| sweep == "all" || sweep == name;
@@ -35,8 +47,4 @@ fn main() {
     if run("hangzhou") {
         println!("{}", figures::fig5_hangzhou(city_scale_down, &opts).to_text());
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
 }

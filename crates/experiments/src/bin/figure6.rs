@@ -2,16 +2,25 @@
 //! (μ, σ) and spatial (mean, cov) distribution parameters on synthetic data.
 //!
 //! Usage: `figure6 [--sweep mu|sigma|mean|cov|all] [--scale F] [--no-opt]`
+//!
+//! Arguments are parsed strictly (see `experiments::cli`).
 
+use experiments::cli;
 use experiments::figures::{fig6_vary_distribution, Fig6Parameter};
 use experiments::runner::SuiteOptions;
 
+const USAGE: &str = "usage: figure6 [--sweep mu|sigma|mean|cov|all] [--scale F] [--no-opt]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let sweep = arg_value(&args, "--sweep").unwrap_or_else(|| "all".to_string());
-    let scale: f64 = arg_value(&args, "--scale").and_then(|v| v.parse().ok()).unwrap_or(0.25);
-    let opts =
-        SuiteOptions { include_opt: !args.iter().any(|a| a == "--no-opt"), ..Default::default() };
+    let (sweep, scale, include_opt) =
+        cli::parse_or_exit(USAGE, &["--sweep", "--scale"], &["--no-opt"], |args| {
+            Ok((
+                args.name("--sweep", &["mu", "sigma", "mean", "cov", "all"], "all")?,
+                args.number("--scale", 0.25)?,
+                !args.has("--no-opt"),
+            ))
+        });
+    let opts = SuiteOptions { include_opt, ..Default::default() };
 
     println!("Figure 6 reproduction (object scale {scale})\n");
     let params = [
@@ -25,8 +34,4 @@ fn main() {
             println!("{}", fig6_vary_distribution(param, scale, &opts).to_text());
         }
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
 }

@@ -9,23 +9,26 @@
 //!        [--deterministic-only] [--out metrics.json]
 //! ```
 //!
-//! Arguments are parsed strictly, before any file is read. An unrecognised
-//! flag, a positional token, a flag missing its value, a flag given twice,
-//! a missing `--trace` (or `--capture`), an unknown algorithm, backend or
-//! preset name, or an unparsable `--threads`, `--seed`, `--scale` or
-//! `--ratio` value prints a diagnostic plus the usage line and exits with
-//! code 2 (`--algos` is not `--algo`; it is rejected, not silently ignored).
-//! Every other failure — an unreadable or malformed trace, an unparsable
-//! environment knob, an unwritable `--out` — prints only its diagnostic and
-//! exits with code 1. Environment knobs are validated eagerly: an
-//! unparsable `FTOA_KERNEL` or `FTOA_JOBS` aborts the run before any work
-//! happens.
+//! Arguments are parsed strictly (`experiments::cli`), before any file is
+//! read. An unrecognised flag, a positional token, a flag missing its value,
+//! a flag given twice, a missing `--trace` (or `--capture`), an unknown
+//! algorithm, backend or preset name, an unparsable `--threads`, `--seed`,
+//! `--scale` or `--ratio` value, or a flag of the other mode (`--trace`,
+//! `--algo`, `--backend`, `--threads` or `--deterministic-only` with
+//! `--capture`; `--seed`, `--scale` or `--ratio` without it) prints a
+//! diagnostic plus the usage line and exits with code 2 (`--algos` is not
+//! `--algo`; it is rejected, not silently ignored). Every other failure —
+//! an unreadable or malformed trace, an unparsable `FTOA_JOBS`, an
+//! unwritable `--out` — prints only its diagnostic and exits with code 1.
+//! `FTOA_JOBS` is validated eagerly: an unparsable value aborts the run
+//! before any work happens.
 //!
 //! Runs the selected algorithms (default: all five; the flow-backed batch
 //! policies `batch-mf` / `batch-hun` must be named explicitly) over the
-//! trace via `Trace::into_scenario` + `ReplayConfig` — predictions are the
-//! trace's realised counts (`Scenario::actual_counts`) — and writes a `ftoa-replay-metrics v1` JSON document to `--out` (stdout if
-//! omitted). Replaying a v2 trace additionally reports each algorithm's
+//! trace with `ReplayMetrics::replay_file` — predictions are the trace's
+//! realised counts (`Scenario::actual_counts`) — and writes a
+//! `ftoa-replay-metrics v1` JSON document to `--out` (stdout if omitted).
+//! Replaying a v2 trace additionally reports each algorithm's
 //! `capacity_utilisation` against the stream's total worker capacity.
 //! `--threads N` fans the algorithm cells over N workers of the
 //! deterministic `ftoa_runtime::JobPool` (default: `FTOA_JOBS` or the
@@ -35,14 +38,11 @@
 //! `runtime_secs` fields are meant as clean per-algorithm timings rather
 //! than throughput. With `--deterministic-only` the
 //! timing/memory/thread fields are omitted so the output is byte-stable;
-//! the CI `replay-regression` job diffs exactly that output against
-//! `traces/golden_metrics.json` — and runs it at `--threads 4`, which pins
-//! parallel correctness against the same golden file. The `FTOA_KERNEL`
-//! environment variable (validated up front, reported in the header line)
-//! pins the distance-kernel implementation; the CI `kernel-dispatch` matrix
-//! replays the goldens under `scalar` and `auto` and requires identical
-//! bytes from both. Each engine run itself is serial: the policies commit
-//! one event at a time, so parallelism stops at the algorithm cells.
+//! `tests/golden_replay.rs` renders both fixtures that way at 1 and 4
+//! threads and compares them with the golden files byte for byte, and the
+//! CI `replay-regression` job diffs this binary's output at `--threads 4`
+//! against the same files. Each engine run itself is serial: the policies
+//! commit one event at a time, so parallelism stops at the algorithm cells.
 //!
 //! Capture mode:
 //!
@@ -56,12 +56,11 @@
 //! legacy v1 file) and `traces/fixture_weighted.trace` is
 //! `--capture fixture-weighted`; see the README for the regeneration recipe.
 
+use experiments::cli::{self, Args};
 use experiments::metrics::ReplayMetrics;
-use experiments::runner::{Algo, ReplayConfig, SuiteOptions};
-use ftoa_core::engine::kernels::KernelKind;
+use experiments::runner::{Algo, SuiteOptions};
 use ftoa_core::IndexBackend;
-use ftoa_runtime::JobPool;
-use workload::{presets, Scenario, TraceReader, TraceVersion, TraceWriter};
+use workload::{presets, Scenario, TraceWriter};
 
 const USAGE: &str = "usage: replay --trace <file> [--algo all|name,..] \
                      [--backend grid|linear|kd|hybrid] [--threads N] \
@@ -81,6 +80,14 @@ const VALUE_FLAGS: &[&str] = &[
     "--scale",
     "--ratio",
 ];
+
+/// Flags that stand alone.
+const SWITCHES: &[&str] = &["--deterministic-only", "--help", "-h"];
+
+/// Flags that only replay mode reads, and those that only capture mode reads.
+const REPLAY_FLAGS: &[&str] =
+    &["--trace", "--algo", "--backend", "--threads", "--deterministic-only"];
+const CAPTURE_FLAGS: &[&str] = &["--seed", "--scale", "--ratio"];
 
 /// What a run reads: a trace to replay, or a named preset to capture.
 enum Source {
@@ -111,16 +118,14 @@ fn preset(name: &str) -> Option<Preset> {
     })
 }
 
-/// Strictly parsed command line: every token is either a known value flag
-/// (with its value), a known boolean flag, or an error, and every value is
-/// checked here. No pair-scanning — a typo like `--algos` is a hard usage
-/// error, never silently ignored.
+/// The checked command line: every value is parsed, and every flag given
+/// belongs to the chosen mode.
 struct Cli {
     source: Source,
     algos: Vec<Algo>,
     backend: IndexBackend,
-    /// `None` defers to `FTOA_JOBS`, which `run` validates.
-    threads: Option<usize>,
+    /// `0` (the default) means `FTOA_JOBS` or the available parallelism.
+    threads: usize,
     seed: u64,
     scale: f64,
     ratio: f64,
@@ -129,35 +134,20 @@ struct Cli {
 }
 
 impl Cli {
-    /// Parse the argument list. `Ok(None)` means `--help` was requested.
-    fn parse(args: &[String]) -> Result<Option<Cli>, String> {
-        let mut values: Vec<(&'static str, &str)> = Vec::new();
-        let mut deterministic_only = false;
-        let mut iter = args.iter();
-        while let Some(arg) = iter.next() {
-            match arg.as_str() {
-                "--help" | "-h" => return Ok(None),
-                "--deterministic-only" => {
-                    if deterministic_only {
-                        return Err("flag --deterministic-only given twice".into());
-                    }
-                    deterministic_only = true;
-                }
-                other => match VALUE_FLAGS.iter().find(|&&f| f == other) {
-                    Some(&flag) => {
-                        let value =
-                            iter.next().ok_or_else(|| format!("{flag} is missing its value"))?;
-                        if values.iter().any(|(f, _)| *f == flag) {
-                            return Err(format!("flag {flag} given twice"));
-                        }
-                        values.push((flag, value));
-                    }
-                    None => return Err(format!("unrecognised argument `{other}`")),
-                },
-            }
+    /// Check the parsed arguments. `Ok(None)` means `--help` was requested.
+    fn from_args(args: &Args) -> Result<Option<Cli>, String> {
+        if args.has("--help") || args.has("-h") {
+            return Ok(None);
         }
-        let value = |flag: &str| values.iter().find(|(f, _)| *f == flag).map(|&(_, v)| v);
-        let source = match (value("--capture"), value("--trace")) {
+        let (mode, foreign) = if args.has("--capture") {
+            ("capture", REPLAY_FLAGS)
+        } else {
+            ("replay", CAPTURE_FLAGS)
+        };
+        if let Some(flag) = foreign.iter().find(|flag| args.has(flag)) {
+            return Err(format!("{flag} does not apply in {mode} mode"));
+        }
+        let source = match (args.value("--capture"), args.value("--trace")) {
             (Some(name), _) => Source::Capture(
                 name.to_owned(),
                 preset(name).ok_or_else(|| format!("unknown preset `{name}`"))?,
@@ -167,35 +157,22 @@ impl Cli {
         };
         Ok(Some(Cli {
             source,
-            algos: parse_algos(value("--algo").unwrap_or("all"))?,
-            backend: parse_backend(value("--backend").unwrap_or("grid"))?,
-            threads: value("--threads").map(|v| parse_number("--threads", v)).transpose()?,
-            seed: value("--seed").map_or(Ok(2017), |v| parse_number("--seed", v))?,
-            scale: value("--scale").map_or(Ok(0.01), |v| parse_number("--scale", v))?,
-            ratio: value("--ratio").map_or(Ok(1.0), |v| parse_number("--ratio", v))?,
-            out: value("--out").map(str::to_owned),
-            deterministic_only,
+            algos: parse_algos(args.value("--algo").unwrap_or("all"))?,
+            backend: parse_backend(args.value("--backend").unwrap_or("grid"))?,
+            threads: args.number("--threads", 0)?,
+            seed: args.number("--seed", 2017)?,
+            scale: args.number("--scale", 0.01)?,
+            ratio: args.number("--ratio", 1.0)?,
+            out: args.value("--out").map(str::to_owned),
+            deterministic_only: args.has("--deterministic-only"),
         }))
     }
 }
 
-fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value.parse().map_err(|_| format!("invalid value for {flag}: `{value}`"))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cli = match Cli::parse(&args) {
-        Ok(Some(cli)) => cli,
-        Ok(None) => {
-            println!("{USAGE}");
-            return;
-        }
-        Err(message) => {
-            eprintln!("error: {message}");
-            eprintln!("{USAGE}");
-            std::process::exit(2);
-        }
+    let Some(cli) = cli::parse_or_exit(USAGE, VALUE_FLAGS, SWITCHES, Cli::from_args) else {
+        println!("{USAGE}");
+        return;
     };
     if let Err(message) = run(&cli) {
         eprintln!("error: {message}");
@@ -204,59 +181,32 @@ fn main() {
 }
 
 fn run(cli: &Cli) -> Result<(), String> {
-    // Validate every environment knob eagerly, whatever mode runs: a bad
-    // `FTOA_KERNEL` or `FTOA_JOBS` must fail loudly here, not
-    // be silently ignored because the chosen path happens not to read it.
-    let kernel = KernelKind::from_env()?;
-    let jobs_override = ftoa_runtime::jobs_env_override()?;
+    // Validate `FTOA_JOBS` eagerly, whatever mode runs: a bad value must
+    // fail loudly here, not be silently ignored because the chosen path
+    // happens not to read it.
+    ftoa_runtime::jobs_env_override()?;
     let trace_path = match &cli.source {
         Source::Capture(name, preset) => return capture(cli, name, *preset),
         Source::Trace(path) => path.as_str(),
     };
-    // 0 resolves to FTOA_JOBS / available parallelism inside the pool.
-    let threads = JobPool::new(cli.threads.unwrap_or(jobs_override.unwrap_or(0))).threads();
-
-    let trace = TraceReader::read_file(trace_path).map_err(|e| e.to_string())?;
-    // On a weighted (v2) trace, report how much of the total worker capacity
-    // each matching uses; v1 traces keep the exact historical rendering.
-    let total_capacity: Option<u64> = (trace.version == TraceVersion::V2)
-        .then(|| trace.stream.workers().iter().map(|w| u64::from(w.capacity)).sum());
-    let scenario = trace.into_scenario();
+    let opts = SuiteOptions::default().with_backend(cli.backend).with_threads(cli.threads);
+    let metrics =
+        ReplayMetrics::replay_file(trace_path, &cli.algos, opts).map_err(|e| e.to_string())?;
     eprintln!(
-        "replaying {}: {} workers, {} tasks, {} events ({} backend, {} kernel, {} thread{})",
+        "replayed {}: {} workers, {} tasks, {} events ({} backend, {} thread{})",
         trace_path,
-        scenario.stream.num_workers(),
-        scenario.stream.num_tasks(),
-        scenario.stream.len(),
-        cli.backend.name(),
-        kernel.name(),
-        threads,
-        if threads == 1 { "" } else { "s" }
+        metrics.workers,
+        metrics.tasks,
+        metrics.events,
+        metrics.backend,
+        metrics.threads,
+        if metrics.threads == 1 { "" } else { "s" }
     );
-
-    let opts = SuiteOptions::default().with_backend(cli.backend).with_threads(threads);
-    let results = ReplayConfig::new(&scenario).options(opts).algos(&cli.algos).run();
-    for r in &results {
+    for a in &metrics.algorithms {
         eprintln!(
             "  {:<14} matched {:>6}  ({} candidates examined, {:.3}s)",
-            r.algorithm,
-            r.matching_size(),
-            r.stats.candidates_examined,
-            r.runtime_secs()
+            a.algorithm, a.matching_size, a.candidates_examined, a.runtime_secs
         );
-    }
-
-    let mut metrics = ReplayMetrics::new(
-        trace_path,
-        cli.backend.name(),
-        scenario.stream.num_workers(),
-        scenario.stream.num_tasks(),
-        scenario.stream.len(),
-        threads,
-        &results,
-    );
-    if let Some(total) = total_capacity {
-        metrics = metrics.with_total_capacity(total);
     }
     emit(cli, &metrics.to_json(cli.deterministic_only))
 }

@@ -3,24 +3,27 @@
 //!
 //! Usage: `run_all [--scale F] [--city-scale-down N] [--quick]`
 //!
-//! `--quick` shrinks everything further (useful as a smoke test).
+//! `--quick` shrinks everything further (useful as a smoke test). Arguments
+//! are parsed strictly (see `experiments::cli`).
 
+use experiments::cli;
 use experiments::figures::{self, Fig6Parameter};
 use experiments::runner::SuiteOptions;
 use experiments::table5::Table5;
 use workload::CityConfig;
 
+const USAGE: &str = "usage: run_all [--scale F] [--city-scale-down N] [--quick]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let scale: f64 = arg_value(&args, "--scale").and_then(|v| v.parse().ok()).unwrap_or(if quick {
-        0.02
-    } else {
-        0.25
-    });
-    let city_scale_down: usize = arg_value(&args, "--city-scale-down")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if quick { 100 } else { 10 });
+    let (quick, scale, city_scale_down) =
+        cli::parse_or_exit(USAGE, &["--scale", "--city-scale-down"], &["--quick"], |args| {
+            let quick = args.has("--quick");
+            Ok((
+                quick,
+                args.number("--scale", if quick { 0.02 } else { 0.25 })?,
+                args.number::<usize>("--city-scale-down", if quick { 100 } else { 10 })?,
+            ))
+        });
     let history_days = if quick { 10 } else { 28 };
     let opts = SuiteOptions::default();
 
@@ -54,8 +57,4 @@ fn main() {
 
     println!("{}", figures::ablation_prediction_noise(scale, &[0.0, 0.5, 1.0], &opts).to_text());
     println!("{}", figures::ablation_guide_objective(scale).to_text());
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
 }

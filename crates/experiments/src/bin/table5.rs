@@ -4,17 +4,24 @@
 //! Usage: `table5 [--scale-down N] [--history-days D] [--csv]`
 //!
 //! Defaults: `--scale-down 10` (≈5k objects per day per side) and 28 days of
-//! training history before the held-out test day.
+//! training history before the held-out test day. Arguments are parsed
+//! strictly (see `experiments::cli`).
 
+use experiments::cli;
 use experiments::table5::Table5;
 use workload::CityConfig;
 
+const USAGE: &str = "usage: table5 [--scale-down N] [--history-days D] [--csv]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let scale_down: usize =
-        arg_value(&args, "--scale-down").and_then(|v| v.parse().ok()).unwrap_or(10);
-    let history_days: usize =
-        arg_value(&args, "--history-days").and_then(|v| v.parse().ok()).unwrap_or(28);
+    let (scale_down, history_days, csv) =
+        cli::parse_or_exit(USAGE, &["--scale-down", "--history-days"], &["--csv"], |args| {
+            Ok((
+                args.number::<usize>("--scale-down", 10)?,
+                args.number::<usize>("--history-days", 28)?,
+                args.has("--csv"),
+            ))
+        });
 
     println!(
         "Table 5 reproduction (city scale-down 1/{scale_down}, {history_days} days of history)\n"
@@ -24,13 +31,9 @@ fn main() {
         scale_down,
         history_days,
     );
-    if args.iter().any(|a| a == "--csv") {
+    if csv {
         println!("{}", table.to_csv());
     } else {
         println!("{}", table.to_text());
     }
-}
-
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter().position(|a| a == key).and_then(|i| args.get(i + 1).cloned())
 }

@@ -13,6 +13,7 @@
 //!   ablations beyond them (prediction noise and guide objective).
 //! * [`table5`] — the offline-prediction comparison (ER / RMLSE of the seven
 //!   predictors on the two city workloads).
+//! * [`cli`] — the strict command-line parser every binary shares.
 //!
 //! Binaries (`figure4`, `figure5`, `figure6`, `table5`, `ablation`,
 //! `run_all`) print the same series the paper plots; the `replay` binary
@@ -22,6 +23,7 @@
 
 #![warn(clippy::print_stdout, clippy::print_stderr, clippy::dbg_macro)]
 
+pub mod cli;
 pub mod figures;
 pub mod metrics;
 pub mod report;

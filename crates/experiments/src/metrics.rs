@@ -1,21 +1,25 @@
 //! Replay metrics: the JSON report of one trace replay.
 //!
 //! The `replay` CLI runs a set of algorithms over a recorded trace and emits
-//! one [`ReplayMetrics`] document. The serialisation is hand-rolled (the
-//! workspace is offline, no serde) and **canonical**: keys appear in a fixed
-//! order and integers are printed without formatting choices, so two runs
-//! over the same trace produce byte-identical output for the deterministic
-//! fields. CI exploits that: the `replay-regression` job renders the report
-//! with [`ReplayMetrics::to_json`]`(true)` — deterministic fields only — and
-//! diffs it against the checked-in golden file.
+//! one [`ReplayMetrics`] document, built by [`ReplayMetrics::replay_file`].
+//! The serialisation is hand-rolled (the workspace is offline, no serde) and
+//! **canonical**: keys appear in a fixed order and integers are printed
+//! without formatting choices, so two runs over the same trace produce
+//! byte-identical output for the deterministic fields. The golden tests
+//! exploit that: `tests/golden_replay.rs` and CI's `replay-regression` job
+//! render the report with [`ReplayMetrics::to_json`]`(true)` — deterministic
+//! fields only — and compare it with the checked-in golden files.
 //!
 //! Deterministic fields (stable across machines for a fixed trace and code
 //! version): matching size, total payoff, candidates examined, events,
 //! expiry counts. Non-deterministic fields (timings, memory estimates) are
 //! only included when `deterministic_only` is off.
 
+use crate::runner::{Algo, ReplayConfig, SuiteOptions};
 use ftoa_core::AlgorithmResult;
+use ftoa_runtime::JobPool;
 use std::fmt::Write as _;
+use workload::{TraceError, TraceReader, TraceVersion};
 
 /// Per-algorithm metrics of one replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,6 +112,35 @@ impl ReplayMetrics {
             algorithms: results.iter().map(AlgorithmMetrics::from).collect(),
             total_capacity: None,
         }
+    }
+
+    /// Replay the trace at `path`, the whole path of the `replay` binary:
+    /// read the trace, run `algos` on its scenario (predictions are the
+    /// trace's realised counts) with `opts`, and assemble the document,
+    /// labelled `path`. `opts.threads` is resolved as the job pool resolves
+    /// it (`0`: `FTOA_JOBS` or the available parallelism) before it is
+    /// recorded. A v2 trace also reports each algorithm's capacity
+    /// utilisation; v1 traces keep the historical rendering.
+    pub fn replay_file(path: &str, algos: &[Algo], opts: SuiteOptions) -> Result<Self, TraceError> {
+        let opts = opts.with_threads(JobPool::new(opts.threads).threads());
+        let trace = TraceReader::read_file(path)?;
+        let total_capacity: Option<u64> = (trace.version == TraceVersion::V2)
+            .then(|| trace.stream.workers().iter().map(|w| u64::from(w.capacity)).sum());
+        let scenario = trace.into_scenario();
+        let results = ReplayConfig::new(&scenario).options(opts).algos(algos).run();
+        let metrics = ReplayMetrics::new(
+            path,
+            opts.index_backend.name(),
+            scenario.stream.num_workers(),
+            scenario.stream.num_tasks(),
+            scenario.stream.len(),
+            opts.threads,
+            &results,
+        );
+        Ok(match total_capacity {
+            Some(total) => metrics.with_total_capacity(total),
+            None => metrics,
+        })
     }
 
     /// Kept only so the benchmark package under `bench/` builds unchanged;

@@ -4,8 +4,8 @@
 //! missing values, duplicated flags, a missing `--trace`, unknown algorithm,
 //! backend or preset names and unparsable numbers are usage errors (exit
 //! code 2 plus the usage line, before any file is read), while runtime
-//! failures — including unparsable `FTOA_JOBS` / `FTOA_KERNEL` environment
-//! knobs, validated eagerly, and malformed traces — exit with code 1 and a
+//! failures — including an unparsable `FTOA_JOBS`, validated eagerly, and
+//! malformed traces — exit with code 1 and a
 //! diagnostic, without the usage line. These tests pin that contract, and
 //! that `--threads N` produces byte-identical deterministic metrics at
 //! every N.
@@ -17,9 +17,9 @@ use std::time::Duration;
 
 fn replay() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_replay"));
-    // Run every invocation with a clean slate for the knobs under test so a
+    // Run every invocation with a clean slate for the knob under test so a
     // developer's ambient environment cannot flip the expected outcomes.
-    cmd.env_remove("FTOA_JOBS").env_remove("FTOA_KERNEL").env_remove("FTOA_HYBRID_THRESHOLD");
+    cmd.env_remove("FTOA_JOBS");
     cmd
 }
 
@@ -56,12 +56,13 @@ fn missing_values_and_duplicate_flags_are_usage_errors() {
     assert!(stderr_of(&out).contains("flag --trace given twice"));
 }
 
-/// A missing `--trace`, an unknown name and an unparsable number exit 2
-/// with the usage line. No case names a readable trace, so exit 2 also
-/// shows that the arguments were rejected before any file was read.
+/// A missing `--trace`, an unknown name, an unparsable number and a flag of
+/// the other mode exit 2 with the usage line. No case names a readable
+/// trace, so exit 2 also shows that the arguments were rejected before any
+/// file was read.
 #[test]
 fn bad_flag_values_are_usage_errors() {
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 16] = [
         (&["--algo", "gr"], "missing --trace <file> (or --capture <preset>)"),
         (&["--trace", "missing.trace", "--algo", "gr,bogus"], "unknown algorithm `bogus`"),
         (&["--trace", "missing.trace", "--backend", "octree"], "unknown backend `octree`"),
@@ -70,6 +71,20 @@ fn bad_flag_values_are_usage_errors() {
         (&["--capture", "hotspot", "--seed", "-1"], "invalid value for --seed: `-1`"),
         (&["--capture", "hotspot", "--scale", "half"], "invalid value for --scale: `half`"),
         (&["--capture", "imbalance", "--ratio", "1:2"], "invalid value for --ratio: `1:2`"),
+        (
+            &["--capture", "fixture", "--trace", "missing.trace"],
+            "--trace does not apply in capture mode",
+        ),
+        (&["--capture", "fixture", "--algo", "gr"], "--algo does not apply in capture mode"),
+        (&["--capture", "fixture", "--backend", "kd"], "--backend does not apply in capture mode"),
+        (&["--capture", "fixture", "--threads", "4"], "--threads does not apply in capture mode"),
+        (
+            &["--capture", "fixture", "--deterministic-only"],
+            "--deterministic-only does not apply in capture mode",
+        ),
+        (&["--trace", "missing.trace", "--seed", "5"], "--seed does not apply in replay mode"),
+        (&["--trace", "missing.trace", "--scale", "3"], "--scale does not apply in replay mode"),
+        (&["--trace", "missing.trace", "--ratio", "2"], "--ratio does not apply in replay mode"),
     ];
     for (args, message) in cases {
         let out = replay().args(args).output().unwrap();

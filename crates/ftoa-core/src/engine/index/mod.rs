@@ -12,9 +12,9 @@
 //! * [`LinearScanIndex`] (`linear.rs`) — kernel sweep over the arena's
 //!   entire coordinate slices; O(n) per query, no pruning. The
 //!   reference/oracle.
-//! * [`GridCandidateIndex`] (`grid.rs`) — uniform-grid buckets stored
-//!   struct-of-arrays: nearest queries expand ring by ring, range queries
-//!   touch only overlapping buckets, each bucket scanned by the kernels.
+//! * [`GridCandidateIndex`] (`grid.rs`) — uniform-grid buckets of
+//!   interleaved members: nearest queries expand ring by ring, range queries
+//!   touch only overlapping buckets, each bucket scanned by an inline loop.
 //! * [`KdCandidateIndex`] (`kd.rs`) — an epoch-rebuild wrapper around the
 //!   crate's static KD-tree: removals tombstone via arena generations,
 //!   inserts buffer until a dirty threshold triggers a rebuild.

@@ -16,12 +16,11 @@
 //!   debitable remaining-capacity column, freed slots recycle through a
 //!   free-list, and [`ftoa_types::PoolHandle`] stamps (slot + generation)
 //!   make stale references structurally unobservable;
-//! * [`kernels`] — batched squared-distance kernels over the arena's
-//!   coordinate slices, with explicit AVX2/NEON implementations selected at
-//!   runtime (`FTOA_KERNEL`, see [`kernels::KernelKind`]) and a portable
-//!   chunked scalar fallback that doubles as the bit-exactness oracle; the
-//!   linear, kd and hybrid backends funnel their candidate scans through
-//!   these two ops (`for_each_within_sq`, `nearest_within_sq`);
+//! * [`kernels`] — the batched squared-distance loop over the arena's
+//!   coordinate slices, in 8-wide chunks the compiler can vectorise; the
+//!   linear and kd backends (and so the hybrid's kd half) funnel their
+//!   candidate scans through its two ops (`for_each_within_sq`,
+//!   `nearest_within_sq`), while the grid walks its buckets inline;
 //! * [`index`] — the [`index::CandidateIndex`] trait plus its four backends: the
 //!   exhaustive [`index::LinearScanIndex`] (reference/oracle), the struct-of-arrays
 //!   [`index::GridCandidateIndex`] with ring and reachable-disk range queries, the

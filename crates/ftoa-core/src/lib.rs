@@ -17,7 +17,7 @@
 //!   `context` / `driver`): every algorithm is an incremental
 //!   [`engine::driver::OnlinePolicy`] driven by [`engine::driver::SimulationEngine`]. Live
 //!   objects sit in generational struct-of-arrays [`engine::arena::ItemArena`]s,
-//!   candidate scans run through the batched distance kernels, and candidate
+//!   linear and kd scans run through the batched distance kernel, and candidate
 //!   generation sits behind the [`engine::index::CandidateIndex`] trait (linear-scan
 //!   reference, grid-index, epoch-rebuild KD-tree, and an adaptive hybrid
 //!   that routes queries by local density). Each run is serial: one event

@@ -29,8 +29,7 @@
 //!
 //! **`FTOA_JOBS` contract**: unset or empty means automatic; a positive
 //! integer is an explicit cap; *anything else* — including `0`, negative
-//! numbers and non-numeric text — is a hard error, the same strictness
-//! `FTOA_KERNEL` applies. A typo'd knob must
+//! numbers and non-numeric text — is a hard error. A typo'd knob must
 //! abort the run, not silently fall back to a thread count the user did not
 //! ask for. CLIs can surface the error eagerly (with their own exit code)
 //! through [`jobs_env_override`]; automatic pools reaching a bad value via

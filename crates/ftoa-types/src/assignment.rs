@@ -5,8 +5,9 @@ use crate::ids::{TaskId, WorkerId};
 use crate::task::Task;
 use crate::time::TimeStamp;
 use crate::worker::Worker;
-#[allow(clippy::disallowed_types, reason = "`AssignmentSet`'s lookup-only indexes")]
-use std::collections::HashMap;
+
+/// The `by_worker` / `by_task` entry of an id that has no pair.
+const NONE: u32 = u32::MAX;
 
 /// One assigned worker–task pair, together with when the platform committed
 /// to it (assignments are irrevocable — the "invariable constraint").
@@ -33,16 +34,13 @@ impl Assignment {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AssignmentSet {
     pairs: Vec<Assignment>,
-    // Lookup-only indexes: all ordered traversal goes through `pairs`, which
-    // preserves assignment order. The type allows below cover the fields
-    // only; iterating either map still fails `clippy::iter_over_hash_type`
-    // or `clippy.toml`'s banned methods. Workers map to their first
-    // assignment plus their load, since a capacity-`c` worker may carry up
-    // to `c` pairs.
-    #[allow(clippy::disallowed_types, reason = "lookup only, never iterated")]
-    by_worker: HashMap<WorkerId, (usize, u32)>,
-    #[allow(clippy::disallowed_types, reason = "lookup only, never iterated")]
-    by_task: HashMap<TaskId, usize>,
+    // Lookup indexes by dense id (`EventStream` numbers both sides 0..n), an
+    // id without a pair reading `NONE`. Workers hold their first pair's
+    // index plus their load, since a capacity-`c` worker may carry up to `c`
+    // pairs; tasks hold their pair's index. Both grow only on `push`, to the
+    // largest id pushed, so equal sets have equal indexes.
+    by_worker: Vec<(u32, u32)>,
+    by_task: Vec<u32>,
 }
 
 impl AssignmentSet {
@@ -52,13 +50,8 @@ impl AssignmentSet {
     }
 
     /// Create an empty set with capacity for `n` pairs.
-    #[allow(clippy::disallowed_types, reason = "sizes the two lookup-only indexes")]
     pub fn with_capacity(n: usize) -> Self {
-        Self {
-            pairs: Vec::with_capacity(n),
-            by_worker: HashMap::with_capacity(n),
-            by_task: HashMap::with_capacity(n),
-        }
+        Self { pairs: Vec::with_capacity(n), ..Self::default() }
     }
 
     /// Add an assignment under the paper's single-assignment model. Returns
@@ -78,24 +71,44 @@ impl AssignmentSet {
         a: Assignment,
         worker_capacity: u32,
     ) -> Result<(), TypeError> {
-        if let Some(&(_, load)) = self.by_worker.get(&a.worker) {
+        if let Some((_, load)) = self.worker_entry(a.worker) {
             if load >= worker_capacity {
                 return Err(TypeError::DuplicateWorker(a.worker));
             }
         }
-        if self.by_task.contains_key(&a.task) {
+        if self.task_matched(a.task) {
             return Err(TypeError::DuplicateTask(a.task));
         }
-        let idx = self.pairs.len();
-        self.by_worker.entry(a.worker).and_modify(|e| e.1 += 1).or_insert((idx, 1));
-        self.by_task.insert(a.task, idx);
+        let idx = u32::try_from(self.pairs.len()).expect("fewer than u32::MAX pairs");
+        let (w, r) = (a.worker.index(), a.task.index());
+        if w >= self.by_worker.len() {
+            self.by_worker.resize(w + 1, (NONE, 0));
+        }
+        if r >= self.by_task.len() {
+            self.by_task.resize(r + 1, NONE);
+        }
+        let entry = &mut self.by_worker[w];
+        *entry = if entry.0 == NONE { (idx, 1) } else { (entry.0, entry.1 + 1) };
+        self.by_task[r] = idx;
         self.pairs.push(a);
         Ok(())
     }
 
+    /// The index into `pairs` of the worker's first pair, and its load.
+    fn worker_entry(&self, w: WorkerId) -> Option<(usize, u32)> {
+        let &(first, load) = self.by_worker.get(w.index())?;
+        (first != NONE).then_some((first as usize, load))
+    }
+
+    /// The index into `pairs` of the task's pair.
+    fn task_entry(&self, r: TaskId) -> Option<usize> {
+        let &idx = self.by_task.get(r.index())?;
+        (idx != NONE).then_some(idx as usize)
+    }
+
     /// How many tasks the worker currently serves in this matching.
     pub fn worker_load(&self, w: WorkerId) -> u32 {
-        self.by_worker.get(&w).map_or(0, |&(_, load)| load)
+        self.worker_entry(w).map_or(0, |(_, load)| load)
     }
 
     /// The number of assigned pairs — the paper's `MaxSum(M)` objective.
@@ -115,23 +128,23 @@ impl AssignmentSet {
 
     /// The (first) assignment of a given worker, if any.
     pub fn assignment_of_worker(&self, w: WorkerId) -> Option<&Assignment> {
-        self.by_worker.get(&w).map(|&(i, _)| &self.pairs[i])
+        self.worker_entry(w).map(|(i, _)| &self.pairs[i])
     }
 
     /// The assignment of a given task, if any.
     pub fn assignment_of_task(&self, r: TaskId) -> Option<&Assignment> {
-        self.by_task.get(&r).map(|&i| &self.pairs[i])
+        self.task_entry(r).map(|i| &self.pairs[i])
     }
 
     /// Is the worker matched (serving at least one task)? Under the
     /// single-assignment model this also means the worker is saturated.
     pub fn worker_matched(&self, w: WorkerId) -> bool {
-        self.by_worker.contains_key(&w)
+        self.worker_entry(w).is_some()
     }
 
     /// Is the task matched?
     pub fn task_matched(&self, r: TaskId) -> bool {
-        self.by_task.contains_key(&r)
+        self.task_entry(r).is_some()
     }
 
     /// Validate referential integrity against the worker and task sets:
@@ -298,8 +311,20 @@ mod tests {
         assert_eq!(m.assignment_of_worker(WorkerId(3)).unwrap().task, TaskId(5));
         assert_eq!(m.assignment_of_task(TaskId(5)).unwrap().worker, WorkerId(3));
         assert!(m.assignment_of_worker(WorkerId(0)).is_none());
+        // Ids arrive out of order: worker and task 0 after id 5.
+        m.push(Assignment::new(WorkerId(0), TaskId(0), TimeStamp::minutes(2.0))).unwrap();
+        assert_eq!(m.assignment_of_worker(WorkerId(0)).unwrap().task, TaskId(0));
+        assert_eq!(m.assignment_of_task(TaskId(0)).unwrap().worker, WorkerId(0));
+        assert_eq!(m.assignment_of_task(TaskId(5)).unwrap().worker, WorkerId(3));
+        // Ids never pushed, below and above the largest one seen.
+        for id in [1, 4, 6, 1_000] {
+            assert!(m.assignment_of_worker(WorkerId(id)).is_none(), "w{id}");
+            assert!(m.assignment_of_task(TaskId(id)).is_none(), "r{id}");
+            assert!(!m.worker_matched(WorkerId(id)) && !m.task_matched(TaskId(id)));
+            assert_eq!(m.worker_load(WorkerId(id)), 0);
+        }
         let pairs: Vec<_> = m.iter_pairs().collect();
-        assert_eq!(pairs, vec![(WorkerId(3), TaskId(5))]);
+        assert_eq!(pairs, vec![(WorkerId(3), TaskId(5)), (WorkerId(0), TaskId(0))]);
     }
 
     #[test]

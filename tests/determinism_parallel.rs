@@ -2,17 +2,16 @@
 //!
 //! The `ftoa-runtime` job pool merges results in submission order, and every
 //! (scenario × algorithm) cell is a pure function of its inputs — so the
-//! deterministic renderings of the sweep runner (`SweepReport::
-//! to_csv_deterministic`) and the replay pipeline (`ReplayMetrics::to_json
-//! (true)`) must be **byte-identical** at any thread count. These tests pin
-//! that: they run the same workload serial and at four workers and diff the
-//! bytes. The CI `replay-regression` job checks the same property end to
-//! end by replaying the committed fixture with `--threads 4` against the
-//! unchanged golden file.
+//! deterministic rendering of the sweep runner (`SweepReport::
+//! to_csv_deterministic`) must be **byte-identical** at any thread count, and
+//! every backend's assignments identical. These tests pin that: they run the
+//! same workload serial and at four workers and compare. The replay
+//! pipeline's rendering is pinned the same way, against the golden files, by
+//! `tests/golden_replay.rs`.
 
 use ftoa::core_algorithms::IndexBackend;
-use ftoa::experiments::{figures, metrics::ReplayMetrics, Algo, ReplayConfig, SuiteOptions};
-use ftoa::workload::{SyntheticConfig, TraceReader};
+use ftoa::experiments::{figures, ReplayConfig, SuiteOptions};
+use ftoa::workload::SyntheticConfig;
 
 #[test]
 fn sweep_runner_csv_is_byte_identical_at_any_thread_count() {
@@ -28,31 +27,6 @@ fn sweep_runner_csv_is_byte_identical_at_any_thread_count() {
     // Sanity: the deterministic rendering is not trivially empty.
     let csv = serial.to_csv_deterministic();
     assert!(csv.lines().count() > 2 * 5 * 5, "expected 2 metrics x 5 algos x 5 points of rows");
-}
-
-#[test]
-fn replay_metrics_json_is_byte_identical_at_any_thread_count() {
-    let scenario = TraceReader::read_file("traces/fixture_small.trace")
-        .expect("committed fixture trace must parse")
-        .into_scenario();
-    let render = |threads: usize| {
-        let opts = SuiteOptions::default().with_threads(threads);
-        let results = ReplayConfig::new(&scenario).options(opts).algos(&Algo::ALL).run();
-        ReplayMetrics::new(
-            "traces/fixture_small.trace",
-            opts.index_backend.name(),
-            scenario.stream.num_workers(),
-            scenario.stream.num_tasks(),
-            scenario.stream.len(),
-            threads,
-            &results,
-        )
-        .to_json(true)
-    };
-    let serial = render(1);
-    let parallel = render(4);
-    assert_eq!(serial, parallel, "replay metrics diverged between threads=1 and threads=4");
-    assert!(serial.contains("\"format\": \"ftoa-replay-metrics v1\""));
 }
 
 #[test]

@@ -14,7 +14,6 @@
 //!   examines more candidates;
 //! * POLAR / POLAR-OP are index-independent, and every matching stays valid.
 
-use ftoa::core_algorithms::engine::kernels::{force_kernel, KernelKind};
 use ftoa::core_algorithms::{
     BatchGreedy, IndexBackend, Instance, OfflineGuide, Polar, PolarOp, SimpleGreedy,
     SimulationEngine,
@@ -218,41 +217,6 @@ proptest! {
             prop_assert_eq!(
                 result.matching_size(), oracle,
                 "backend {:?} diverged (window {})", backend, window
-            );
-        }
-    }
-
-    /// Kernel dispatch is invisible to every algorithm: forcing the scalar
-    /// oracle, forcing the best SIMD kernel this CPU supports, and leaving
-    /// the automatic `FTOA_KERNEL` resolution in place all yield the same
-    /// matchings on all four backends. (The kernels are bit-identical, so
-    /// racing the process-wide override from concurrent tests is benign.)
-    #[test]
-    fn matchings_are_kernel_dispatch_invariant(scenario in scenario_strategy()) {
-        let instance = instance_of(&scenario);
-        for backend in IndexBackend::ALL {
-            let engine = SimulationEngine::new(backend);
-            force_kernel(Some(KernelKind::Scalar));
-            let scalar_greedy = engine.run(&instance, &mut SimpleGreedy.policy());
-            let scalar_gr = engine
-                .run(&instance, &mut BatchGreedy::default().policy());
-            force_kernel(Some(KernelKind::best_supported()));
-            let simd_greedy = engine.run(&instance, &mut SimpleGreedy.policy());
-            let simd_gr = engine.run(&instance, &mut BatchGreedy::default().policy());
-            force_kernel(None);
-            let auto_greedy = engine.run(&instance, &mut SimpleGreedy.policy());
-
-            prop_assert_eq!(
-                scalar_greedy.matching_size(), simd_greedy.matching_size(),
-                "backend {:?}: forced {} diverged from scalar",
-                backend, KernelKind::best_supported().name()
-            );
-            prop_assert_eq!(scalar_greedy.matching_size(), auto_greedy.matching_size());
-            prop_assert_eq!(scalar_gr.matching_size(), simd_gr.matching_size());
-            prop_assert_eq!(
-                scalar_greedy.stats.candidates_examined,
-                simd_greedy.stats.candidates_examined,
-                "kernel choice must not change how many candidates a backend examines"
             );
         }
     }

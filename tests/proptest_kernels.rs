@@ -1,16 +1,15 @@
-//! Kernel-exactness property tests: every explicit SIMD distance kernel is
-//! **bit-identical** to the portable scalar oracle.
+//! Kernel-exactness property tests: the chunked distance kernel agrees
+//! **bit for bit** with a naive per-point loop.
 //!
-//! The dispatch contract (see `ftoa_core::engine::kernels`) is that choosing
-//! a kernel — by CPU detection, `FTOA_KERNEL`, or `force_kernel` — can never
-//! change a single output bit: same visited positions in the same ascending
-//! order, same squared distances to the last ulp, same NaN-vacancy
-//! exclusions, same tie-breaks. These properties drive every supported
-//! kernel on this machine against the scalar reference across random point
-//! sets (lengths spanning the 4-wide AVX2 / 2-wide NEON chunk boundaries,
-//! NaN-poisoned vacant slots, degenerate and unbounded radii).
+//! The kernel sweeps its slices in 8-wide chunks so the compiler can
+//! vectorise the arithmetic; these properties check that the chunking never
+//! changes an output bit: the same visited positions in ascending order, the
+//! same squared distances to the last ulp, the same NaN-vacancy exclusions
+//! and the same tie-breaks. They run across random point sets (lengths
+//! spanning the chunk boundaries, NaN-poisoned vacant slots, degenerate and
+//! unbounded radii).
 
-use ftoa::core_algorithms::engine::kernels::{self, KernelKind};
+use ftoa::core_algorithms::engine::kernels;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -39,33 +38,17 @@ fn split(points: &[(f64, f64)]) -> (Vec<f64>, Vec<f64>) {
     points.iter().copied().unzip()
 }
 
-/// The kernels available on this CPU (always at least the scalar oracle).
-fn supported_kinds() -> Vec<KernelKind> {
-    KernelKind::ALL.into_iter().filter(|k| k.is_supported()).collect()
-}
-
-/// Every visit a kernel makes, with the distance captured bit-for-bit.
-fn visits(
-    kind: KernelKind,
-    xs: &[f64],
-    ys: &[f64],
-    qx: f64,
-    qy: f64,
-    r2: f64,
-) -> Vec<(usize, u64)> {
-    let mut out = Vec::new();
-    kernels::for_each_within_sq_in(kind, xs, ys, qx, qy, r2, &mut |pos, d2| {
-        out.push((pos, d2.to_bits()));
-    });
-    out
+/// The squared distance the kernel must reproduce: two roundings, no FMA.
+fn naive_d2(x: f64, y: f64, qx: f64, qy: f64) -> f64 {
+    let (dx, dy) = (x - qx, y - qy);
+    dx * dx + dy * dy
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Bit-identity of the sweep itself: every supported SIMD kernel visits
-    /// exactly the positions the scalar oracle visits, in the same ascending
-    /// order, with bit-identical squared distances.
+    /// The chunked sweep visits exactly the positions a per-point filter
+    /// keeps, in ascending order, with bit-identical squared distances.
     #[test]
     fn simd_sweeps_are_bit_identical_to_scalar(
         points in points_strategy(),
@@ -74,22 +57,24 @@ proptest! {
         r2 in radius_strategy(),
     ) {
         let (xs, ys) = split(&points);
-        let oracle = visits(KernelKind::Scalar, &xs, &ys, qx, qy, r2);
-        prop_assert!(
-            oracle.windows(2).all(|w| w[0].0 < w[1].0),
-            "scalar sweep must visit ascending positions"
-        );
-        for kind in supported_kinds() {
-            let got = visits(kind, &xs, &ys, qx, qy, r2);
-            prop_assert_eq!(
-                &got, &oracle,
-                "{} kernel diverged from scalar on n={} r2={}", kind.name(), xs.len(), r2
-            );
-        }
+        let mut got = Vec::new();
+        kernels::for_each_within_sq(&xs, &ys, qx, qy, r2, &mut |pos, d2| {
+            got.push((pos, d2.to_bits()));
+        });
+        prop_assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "positions must ascend");
+        let want: Vec<(usize, u64)> = points
+            .iter()
+            .enumerate()
+            .map(|(pos, &(x, y))| (pos, naive_d2(x, y, qx, qy)))
+            .filter(|&(_, d2)| d2 <= r2)
+            .map(|(pos, d2)| (pos, d2.to_bits()))
+            .collect();
+        prop_assert_eq!(got, want, "n={} r2={}", xs.len(), r2);
     }
 
-    /// The nearest-neighbour reduction inherits bit-identity, including the
-    /// accept-only-on-improvement contract and earliest-position tie-break.
+    /// The nearest-neighbour reduction equals a naive argmin: the earliest
+    /// position wins ties, and `accept` is consulted only on an improvement,
+    /// so both consult it on the same positions in the same order.
     #[test]
     fn nearest_is_kernel_invariant(
         points in points_strategy(),
@@ -99,18 +84,29 @@ proptest! {
         modulus in 1usize..5,
     ) {
         let (xs, ys) = split(&points);
-        let oracle = kernels::nearest_within_sq_in(
-            KernelKind::Scalar, &xs, &ys, qx, qy, r2, &mut |pos| !pos.is_multiple_of(modulus),
-        );
-        for kind in supported_kinds() {
-            let got = kernels::nearest_within_sq_in(
-                kind, &xs, &ys, qx, qy, r2, &mut |pos| !pos.is_multiple_of(modulus),
-            );
-            prop_assert_eq!(
-                got.map(|(p, d2)| (p, d2.to_bits())),
-                oracle.map(|(p, d2)| (p, d2.to_bits())),
-                "{} nearest diverged from scalar", kind.name()
-            );
+        let accept = |pos: usize| !pos.is_multiple_of(modulus);
+        let mut consulted = Vec::new();
+        let got = kernels::nearest_within_sq(&xs, &ys, qx, qy, r2, &mut |pos| {
+            consulted.push(pos);
+            accept(pos)
+        });
+
+        let mut want: Option<(usize, f64)> = None;
+        let mut want_consulted = Vec::new();
+        for (pos, &(x, y)) in points.iter().enumerate() {
+            let d2 = naive_d2(x, y, qx, qy);
+            let improves = d2 <= r2 && want.is_none_or(|(_, best)| d2 < best);
+            if improves {
+                want_consulted.push(pos);
+                if accept(pos) {
+                    want = Some((pos, d2));
+                }
+            }
         }
+        prop_assert_eq!(
+            got.map(|(p, d2)| (p, d2.to_bits())),
+            want.map(|(p, d2)| (p, d2.to_bits()))
+        );
+        prop_assert_eq!(consulted, want_consulted);
     }
 }
