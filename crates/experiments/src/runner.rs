@@ -158,12 +158,20 @@ pub fn run_suite(scenario: &Scenario, opts: &SuiteOptions) -> Vec<AlgorithmResul
 /// Builder for running a selection of algorithms over one scenario — the
 /// single-scenario entry point of the runner:
 ///
-/// ```ignore
+/// ```
+/// use experiments::{Algo, ReplayConfig};
+/// use ftoa_core::IndexBackend;
+/// use workload::SyntheticConfig;
+///
+/// let scenario =
+///     SyntheticConfig { num_workers: 40, num_tasks: 40, ..Default::default() }.generate(2017);
 /// let results = ReplayConfig::new(&scenario)
 ///     .algos(&[Algo::Gr, Algo::BatchMaxFlow])
 ///     .backend(IndexBackend::Grid)
 ///     .threads(4)
 ///     .run();
+/// let names: Vec<_> = results.iter().map(|r| r.algorithm.as_str()).collect();
+/// assert_eq!(names, ["GR", "BATCH-MF"]);
 /// ```
 ///
 /// Defaults: the canonical five-algorithm suite, [`SuiteOptions::default`].

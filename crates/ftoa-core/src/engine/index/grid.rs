@@ -3,21 +3,27 @@
 //! Each bucket keeps its members as one contiguous `Vec<Member>` — the
 //! coordinates interleaved with the arena slot. Buckets are small (the grid
 //! is sized so the expected occupancy is a handful of members), so the hot
-//! cost of a range query is *visiting* buckets, not scanning within them:
-//! one interleaved allocation per bucket touches half the cache lines the
-//! earlier parallel-`Vec` layout did, and a per-row occupancy bitmap lets
-//! the bounding-box walk skip empty buckets outright. (The dense-slice
+//! cost of a query is *visiting* buckets, not scanning within them: one
+//! interleaved allocation per bucket touches half the cache lines the
+//! earlier parallel-`Vec` layout did. Per-row and per-column occupancy
+//! bitmaps let both queries walk only the non-empty buckets of their span,
+//! and a bounding box of each bucket's members lets them pass over a bucket
+//! that cannot hold an answer without reading it. (The dense-slice
 //! [`crate::engine::kernels`] loops stay the inner loop of the linear, kd
 //! and hybrid backends, where candidates *are* contiguous.) Removal is
 //! O(1): a per-arena-slot back-pointer records each member's `(bucket,
 //! position)` and members are swap-removed with the back-pointer of the
 //! displaced tail entry patched up.
 //!
-//! The scan semantics — ring order, bounding-box bucket selection, and what
-//! counts as an *examined* candidate (every entry of every *non-empty*
-//! visited bucket; empty buckets contribute nothing, so skipping them is
-//! invisible) — are fixed: the golden replay metrics pin this backend's
-//! counters byte for byte.
+//! The scan semantics are fixed: the ring order, the bounding-box bucket
+//! selection, and what counts as an *examined* candidate, which is every
+//! member of every bucket a query *opens*. A query opens a non-empty bucket
+//! of its span unless the bucket's box lies beyond the radius or, for the
+//! nearest query, no closer than the best candidate so far. The box distance
+//! never exceeds any member's computed distance, so a member of a skipped
+//! bucket could neither be reported nor reach the feasibility filter: the
+//! skips change no answer, tie-break or `feasible` call, only the examined
+//! count, which the golden replay metrics pin byte for byte.
 
 use crate::engine::arena::ItemArena;
 use crate::engine::index::CandidateIndex;
@@ -28,6 +34,53 @@ use std::marker::PhantomData;
 
 /// `slot_pos` sentinel: the arena slot is not a member of any bucket.
 const NOT_MEMBER: (u32, u32) = (u32::MAX, u32::MAX);
+
+/// The box of an empty bucket, `[min_x, min_y, max_x, max_y]`: the first
+/// insert's `min`/`max` replaces every entry with that member's coordinates.
+const EMPTY_BOX: [f64; 4] = [f64::INFINITY, f64::INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY];
+
+/// Squared distance from `(qx, qy)` to the box `[min_x, min_y, max_x,
+/// max_y]`, in the members' own arithmetic: per axis the gap is zero inside
+/// the box, else the difference to the nearer edge, which (IEEE subtraction
+/// being monotone and sign-symmetric) is at most that member's `|dx|` or
+/// `|dy|`. So the result never exceeds a member's computed `d2`.
+fn box_dist_sq(b: &[f64; 4], qx: f64, qy: f64) -> f64 {
+    let dx = (b[0] - qx).max(qx - b[2]).max(0.0);
+    let dy = (b[1] - qy).max(qy - b[3]).max(0.0);
+    dx * dx + dy * dy
+}
+
+/// Bits `lo..=hi` clipped to `0..n` (`n <= 64`); zero when the clipped
+/// range is empty.
+fn span_mask(lo: isize, hi: isize, n: usize) -> u64 {
+    let (lo, hi) = (lo.max(0), hi.min(n as isize - 1));
+    if lo > hi {
+        return 0;
+    }
+    (u64::MAX >> (63 - (hi - lo))) << lo
+}
+
+/// `masks[i]`, or no bits when `i` lies outside the grid.
+fn mask_at(masks: &[u64], i: isize) -> u64 {
+    usize::try_from(i).ok().and_then(|i| masks.get(i)).copied().unwrap_or(0)
+}
+
+/// The set bits of `first | second` in ascending order; at each,
+/// `visit(bit, false)` if `first` holds it, then `visit(bit, true)` if
+/// `second` does.
+fn for_each_bit_of_pair(first: u64, second: u64, mut visit: impl FnMut(usize, bool)) {
+    let mut bits = first | second;
+    while bits != 0 {
+        let bit = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        if first & (1 << bit) != 0 {
+            visit(bit, false);
+        }
+        if second & (1 << bit) != 0 {
+            visit(bit, true);
+        }
+    }
+}
 
 /// One bucket member: coordinates interleaved with the arena slot so a
 /// bucket visit touches a single contiguous run of memory.
@@ -135,10 +188,20 @@ pub struct GridCandidateIndex<T> {
     slot_pos: Vec<(u32, u32)>,
     /// Bit `bx` of `row_masks[by]` is set iff bucket `(bx, by)` is
     /// non-empty (`nx` is clamped to 64, so one word covers a row). Range
-    /// queries walk set bits instead of probing every bucket of the
-    /// bounding box — most of a large bbox is empty buckets, and skipping
-    /// them changes neither the members scanned nor the examined counters.
+    /// queries and the rows of a nearest query's ring walk set bits instead
+    /// of probing every bucket: most of a span is empty buckets, which hold
+    /// nothing to scan or count.
     row_masks: Vec<u64>,
+    /// The transpose of `row_masks`: bit `by` of `col_masks[bx]` is set iff
+    /// bucket `(bx, by)` is non-empty (`ny` is clamped to 64). The columns
+    /// of a nearest query's ring walk these bits.
+    col_masks: Vec<u64>,
+    /// Per bucket, `[min_x, min_y, max_x, max_y]` over the members inserted
+    /// since it was last empty ([`EMPTY_BOX`] while empty). A removal that
+    /// leaves members behind keeps the box, which then still covers every
+    /// live member, so a query that skips a bucket by its box skips nothing
+    /// it could have reported.
+    boxes: Vec<[f64; 4]>,
     len: usize,
     examined: u64,
     _items: PhantomData<T>,
@@ -158,6 +221,8 @@ impl<T: SpatialItem> GridCandidateIndex<T> {
             buckets: vec![Bucket::default(); nx * ny],
             slot_pos: Vec::new(),
             row_masks: vec![0; ny],
+            col_masks: vec![0; nx],
+            boxes: vec![EMPTY_BOX; nx * ny],
             len: 0,
             examined: 0,
             _items: PhantomData,
@@ -172,8 +237,10 @@ impl<T: SpatialItem> GridCandidateIndex<T> {
         (cx as usize, cy as usize)
     }
 
-    /// Scan one bucket for the nearest query: count every member, keep the
-    /// nearest in-radius feasible one (squared-distance domain, earliest
+    /// Open one non-empty bucket for the nearest query, unless its box lies
+    /// beyond `max_r2` or no closer than `best`, where every member would
+    /// fail the test below. An opened bucket counts every member and keeps
+    /// the nearest in-radius feasible one (squared-distance domain, earliest
     /// member wins exact ties — the strict `<` improvement test below).
     #[allow(clippy::too_many_arguments, reason = "private hot-loop helper of the ring walk")]
     fn scan_bucket_nearest(
@@ -187,6 +254,10 @@ impl<T: SpatialItem> GridCandidateIndex<T> {
         scanned: &mut u64,
         feasible: &mut dyn FnMut(&T) -> bool,
     ) {
+        let box_d2 = box_dist_sq(&self.boxes[bucket], qx, qy);
+        if box_d2 > max_r2 || best.is_some_and(|(_, best_d2)| box_d2 >= best_d2) {
+            return;
+        }
         let b = &self.buckets[bucket];
         *scanned += b.len() as u64;
         for m in b.iter() {
@@ -219,6 +290,9 @@ impl<T: SpatialItem> CandidateIndex<T> for GridCandidateIndex<T> {
         self.slot_pos[slot] = (bucket as u32, b.len() as u32);
         b.push(Member { x, y, slot: slot as u32 });
         self.row_masks[by] |= 1 << bx;
+        self.col_masks[bx] |= 1 << by;
+        let [min_x, min_y, max_x, max_y] = self.boxes[bucket];
+        self.boxes[bucket] = [min_x.min(x), min_y.min(y), max_x.max(x), max_y.max(y)];
         self.len += 1;
     }
 
@@ -234,7 +308,10 @@ impl<T: SpatialItem> CandidateIndex<T> for GridCandidateIndex<T> {
             // The displaced tail member now lives at `pos`.
             self.slot_pos[b.get(pos).slot as usize].1 = pos as u32;
         } else if b.len() == 0 {
-            self.row_masks[bucket / self.nx] &= !(1 << (bucket % self.nx));
+            let (bx, by) = (bucket % self.nx, bucket / self.nx);
+            self.row_masks[by] &= !(1 << bx);
+            self.col_masks[bx] &= !(1 << by);
+            self.boxes[bucket] = EMPTY_BOX;
         }
         self.slot_pos[slot] = NOT_MEMBER;
         self.len -= 1;
@@ -254,12 +331,13 @@ impl<T: SpatialItem> CandidateIndex<T> for GridCandidateIndex<T> {
         let ch = self.bounds.height() / self.ny as f64;
         let min_cell = cw.min(ch);
         let (qbx, qby) = self.bucket_coords(query.x, query.y);
-        let max_ring = self.nx.max(self.ny);
+        // The widest ring that still reaches a bucket of the grid.
+        let last_ring = qbx.max(qby).max(self.nx - 1 - qbx).max(self.ny - 1 - qby);
         let max_r2 = max_radius * max_radius;
         let mut best: Option<(usize, f64)> = None;
         let mut scanned = 0u64;
 
-        for ring in 0..=max_ring {
+        for ring in 0..=last_ring {
             // A point in ring `ring` is at least `(ring - 1) * min_cell` away
             // from the query. Once we have a candidate closer than that — or
             // the whole ring lies beyond `max_radius` — we are done.
@@ -274,27 +352,19 @@ impl<T: SpatialItem> CandidateIndex<T> for GridCandidateIndex<T> {
                     }
                 }
             }
-            let mut any_bucket_in_ring = false;
             // The square ring at Chebyshev distance `ring`, clipped to the
             // grid and visited without materialising the coordinate list:
             // for each column from `qx - r` to `qx + r`, its bucket in row
             // `qy - r` and then its bucket in row `qy + r`; then for each
             // row from `qy - r + 1` to `qy + r - 1`, its bucket in column
-            // `qx - r` and then its bucket in column `qx + r`.
+            // `qx - r` and then its bucket in column `qx + r`. The occupancy
+            // masks of those two rows and two columns yield the non-empty
+            // buckets in that order; empty ones hold nothing to scan.
             let (qx, qy, r) = (qbx as isize, qby as isize, ring as isize);
-            let mut visit_bucket = |this: &Self, bx: isize, by: isize| -> bool {
-                if bx < 0 || by < 0 || bx as usize >= this.nx || by as usize >= this.ny {
-                    return false;
-                }
-                if this.row_masks[by as usize] & (1 << bx) == 0 {
-                    // An empty in-grid bucket still anchors the ring (the
-                    // expansion must not stop early) but has nothing to
-                    // scan and contributes nothing to the examined count.
-                    return true;
-                }
+            let mut open = |this: &Self, bx: usize, by: usize| {
                 this.scan_bucket_nearest(
                     arena,
-                    by as usize * this.nx + bx as usize,
+                    by * this.nx + bx,
                     query.x,
                     query.y,
                     max_r2,
@@ -302,22 +372,24 @@ impl<T: SpatialItem> CandidateIndex<T> for GridCandidateIndex<T> {
                     &mut scanned,
                     feasible,
                 );
-                true
             };
             if ring == 0 {
-                any_bucket_in_ring |= visit_bucket(self, qx, qy);
+                if self.row_masks[qby] & (1 << qbx) != 0 {
+                    open(self, qbx, qby);
+                }
             } else {
-                for dx in -r..=r {
-                    any_bucket_in_ring |= visit_bucket(self, qx + dx, qy - r);
-                    any_bucket_in_ring |= visit_bucket(self, qx + dx, qy + r);
-                }
-                for dy in (-r + 1)..r {
-                    any_bucket_in_ring |= visit_bucket(self, qx - r, qy + dy);
-                    any_bucket_in_ring |= visit_bucket(self, qx + r, qy + dy);
-                }
-            }
-            if !any_bucket_in_ring && best.is_some() {
-                break;
+                let cols = span_mask(qx - r, qx + r, self.nx);
+                let below = mask_at(&self.row_masks, qy - r) & cols;
+                let above = mask_at(&self.row_masks, qy + r) & cols;
+                for_each_bit_of_pair(below, above, |bx, upper| {
+                    open(self, bx, if upper { qby + ring } else { qby - ring })
+                });
+                let rows = span_mask(qy - r + 1, qy + r - 1, self.ny);
+                let left = mask_at(&self.col_masks, qx - r) & rows;
+                let right = mask_at(&self.col_masks, qx + r) & rows;
+                for_each_bit_of_pair(left, right, |by, rightward| {
+                    open(self, if rightward { qbx + ring } else { qbx - ring }, by)
+                });
             }
         }
         self.examined += scanned;
@@ -338,19 +410,21 @@ impl<T: SpatialItem> CandidateIndex<T> for GridCandidateIndex<T> {
         let (max_bx, max_by) = self.bucket_coords(center.x + radius, center.y + radius);
         let r2 = radius * radius;
         let mut scanned = 0u64;
-        // Mask for columns `min_bx..=max_bx` (widths of 64 need the shift
-        // guard; `nx <= 64` so wider boxes are impossible).
-        let width = max_bx - min_bx + 1;
-        let span = if width >= 64 { !0u64 } else { ((1u64 << width) - 1) << min_bx };
+        let span = span_mask(min_bx as isize, max_bx as isize, self.nx);
         for by in min_by..=max_by {
-            // Walk only the non-empty buckets of the row: empty buckets
-            // contribute neither members nor examined counts, so the skip is
-            // invisible to the golden metrics.
+            // Walk only the non-empty buckets of the row, and of those open
+            // only the ones whose box reaches the disk: the box distance
+            // never exceeds a member's, so a skipped bucket holds nobody
+            // within `radius`.
             let mut row = self.row_masks[by] & span;
             while row != 0 {
                 let bx = row.trailing_zeros() as usize;
                 row &= row - 1;
-                let b = &self.buckets[by * self.nx + bx];
+                let bucket = by * self.nx + bx;
+                if box_dist_sq(&self.boxes[bucket], center.x, center.y) > r2 {
+                    continue;
+                }
+                let b = &self.buckets[bucket];
                 scanned += b.len() as u64;
                 for m in b.iter() {
                     let dx = m.x - center.x;
@@ -376,7 +450,8 @@ impl<T: SpatialItem> CandidateIndex<T> for GridCandidateIndex<T> {
     fn structure_bytes(&self) -> usize {
         let mut bytes = vec_bytes::<Bucket>(self.buckets.capacity())
             + vec_bytes::<(u32, u32)>(self.slot_pos.capacity())
-            + vec_bytes::<u64>(self.row_masks.capacity());
+            + vec_bytes::<u64>(self.row_masks.capacity() + self.col_masks.capacity())
+            + vec_bytes::<[f64; 4]>(self.boxes.capacity());
         for b in &self.buckets {
             bytes += vec_bytes::<Member>(b.spill.capacity());
         }

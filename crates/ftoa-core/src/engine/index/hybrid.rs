@@ -2,11 +2,13 @@
 //! sparse.
 //!
 //! The two indexed backends have complementary failure modes. The uniform
-//! grid shines on dense queries (the searched buckets are contiguous kernel
-//! sweeps full of real candidates) but degrades on sparse ones, where the
-//! ring/range expansion walks many empty buckets before it finds anyone.
-//! The KD-tree prunes sparse space geometrically but pays pointer-chasing
-//! overhead per node that dense bucket sweeps do not.
+//! grid shines on dense queries (the searched buckets are contiguous sweeps
+//! full of real candidates). On sparse ones its occupancy masks skip the
+//! empty buckets, but a nearest query still expands ring by ring, reading
+//! two row and two column masks per ring, until a ring lies beyond the best
+//! candidate or the radius. The KD-tree prunes sparse space geometrically
+//! but pays pointer-chasing overhead per node that dense bucket sweeps do
+//! not.
 //!
 //! The hybrid keeps **both** sub-indexes fully maintained (every insert and
 //! remove goes to both — both are exact, so correctness is choice-

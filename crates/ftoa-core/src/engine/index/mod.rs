@@ -14,7 +14,9 @@
 //!   reference/oracle.
 //! * [`GridCandidateIndex`] (`grid.rs`) — uniform-grid buckets of
 //!   interleaved members: nearest queries expand ring by ring, range queries
-//!   touch only overlapping buckets, each bucket scanned by an inline loop.
+//!   touch only overlapping buckets; occupancy masks skip the empty buckets
+//!   and per-bucket bounding boxes the ones that cannot hold an answer, and
+//!   each opened bucket is scanned by an inline loop.
 //! * [`KdCandidateIndex`] (`kd.rs`) — an epoch-rebuild wrapper around the
 //!   crate's static KD-tree: removals tombstone via arena generations,
 //!   inserts buffer until a dirty threshold triggers a rebuild.
@@ -81,11 +83,12 @@ pub trait CandidateIndex<T: SpatialItem> {
         visit: &mut dyn FnMut(Candidate, &T),
     );
 
-    /// Stored entries *scanned* by queries so far (distance computed or
-    /// feasibility checked). The linear backend scans every live entry per
-    /// query; the grid backend scans only the entries in the buckets its
-    /// ring/range search visits — the ratio between the two is the pruning
-    /// factor, independent of machine speed.
+    /// Stored entries *examined* by queries so far: those whose distance a
+    /// query computed. The linear backend examines every live entry per
+    /// query; the grid backend examines the members of the buckets a query
+    /// *opens*, the non-empty buckets of its ring or range span whose
+    /// bounding box could still hold an answer — the ratio between the two
+    /// is the pruning factor, independent of machine speed.
     fn candidates_examined(&self) -> u64;
 
     /// Estimated bytes held by the index structure itself (excluding the
@@ -418,6 +421,36 @@ mod tests {
             idx.for_each_within(&arena, &q, f64::NAN, &mut |_, w| found.push(w.id.index()));
             assert!(found.is_empty(), "{name}: NaN radius must visit nothing: {found:?}");
         }
+    }
+
+    /// Equidistant candidates come back in the grid's ring order: ring by
+    /// ring, the columns of the ring's lower and upper rows left to right
+    /// (lower row first in each column), then its side columns bottom to top
+    /// (left column first in each row). The insertion order is the reverse,
+    /// so a walk that followed slots or rows the other way round would fail.
+    #[test]
+    fn grid_returns_exact_ties_in_ring_order() {
+        let config = ProblemConfig::new(
+            GridPartition::square(64.0, 64).unwrap(),
+            SlotPartition::over_horizon(TimeDelta::minutes(60.0), 4).unwrap(),
+            1.0,
+            TimeDelta::minutes(10.0),
+            TimeDelta::minutes(5.0),
+        );
+        let mut arena = ItemArena::new();
+        let mut idx = IndexBackend::Grid.build::<Worker>(&config);
+        for (i, (x, y)) in [(11.5, 10.5), (9.5, 10.5), (10.5, 11.5), (10.5, 9.5)].iter().enumerate()
+        {
+            admit(&mut arena, &mut idx, worker(i, *x, *y, 0.0));
+        }
+        let q = Location::new(10.5, 10.5);
+        let mut order = Vec::new();
+        while let Some(c) = idx.nearest_within(&arena, &q, f64::INFINITY, &mut |_| true) {
+            assert_eq!(c.dist_sq, 1.0);
+            order.push(evict(&mut arena, &mut idx, c.handle).location);
+        }
+        let want = [(10.5, 9.5), (10.5, 11.5), (9.5, 10.5), (11.5, 10.5)];
+        assert_eq!(order, want.map(|(x, y)| Location::new(x, y)));
     }
 
     #[test]

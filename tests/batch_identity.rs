@@ -1,14 +1,18 @@
-//! Pins the three batch policies bit for bit: GR, BATCH-MF and BATCH-HUN on
-//! a `hotspot`-shaped stream (demand packed next to supply), with unit
-//! values and with payoffs and capacities. Each pin is the matching size,
-//! the bits of `total_payoff` and an FNV-1a checksum over every assignment
-//! in commit order. A round's size and payoff are fixed by its objective;
-//! the checksum also pins which maximum matching the round picks: each task,
-//! in the round's order, takes its oldest free feasible worker, or else one
-//! augmenting-path search re-seats earlier tasks, oldest workers first. Any
-//! change to how a round picks its pairs, or when it commits them, shows up
-//! here. These test binaries are debug builds, so every round they run is
-//! also checked against Hopcroft–Karp and min-cost flow.
+//! Pins SimpleGreedy and the three batch policies bit for bit: GR, BATCH-MF
+//! and BATCH-HUN on a `hotspot`-shaped stream (demand packed next to
+//! supply), with unit values and with payoffs and capacities. Each pin is
+//! the matching size, the bits of `total_payoff` and an FNV-1a checksum over
+//! every assignment in commit order. A round's size and payoff are fixed by
+//! its objective; the checksum also pins which maximum matching the round
+//! picks: each task, in the round's order, takes its oldest free feasible
+//! worker, or else one augmenting-path search re-seats earlier tasks, oldest
+//! workers first. Any change to how a round picks its pairs, or when it
+//! commits them, shows up here. SimpleGreedy's pin covers the index's
+//! nearest query instead: every arrival takes the nearest feasible partner,
+//! so a change to which of two equidistant candidates the grid returns, or
+//! to what its ring walk finds, shows up in the checksum. These test
+//! binaries are debug builds, so every round they run is also checked
+//! against Hopcroft–Karp and min-cost flow.
 
 use ftoa::core_algorithms::AlgorithmResult;
 use ftoa::experiments::{Algo, ReplayConfig};
@@ -59,21 +63,22 @@ fn hotspot(weighted: bool) -> Scenario {
     config.generate(2017)
 }
 
-fn run_batch_policies(scenario: &Scenario) -> Vec<AlgorithmResult> {
+fn run_pinned_policies(scenario: &Scenario) -> Vec<AlgorithmResult> {
     ReplayConfig::new(scenario)
-        .algos(&[Algo::Gr, Algo::BatchMaxFlow, Algo::BatchHungarian])
+        .algos(&[Algo::SimpleGreedy, Algo::Gr, Algo::BatchMaxFlow, Algo::BatchHungarian])
         .threads(1)
         .run()
 }
 
 #[test]
 fn unit_value_rounds_are_pinned() {
-    let results = run_batch_policies(&hotspot(false));
+    let results = run_pinned_policies(&hotspot(false));
     let pins: Vec<_> = results.iter().map(pin).collect();
     let unit = 2608f64.to_bits();
     assert_eq!(
         pins,
         vec![
+            ("SimpleGreedy", 2434, 2434f64.to_bits(), 35_671_432_730_161_299),
             ("GR", 2608, unit, 7_042_771_056_788_252_976),
             ("BATCH-MF", 2608, unit, 7_042_771_056_788_252_976),
             ("BATCH-HUN", 2608, unit, 7_042_771_056_788_252_976),
@@ -83,11 +88,12 @@ fn unit_value_rounds_are_pinned() {
 
 #[test]
 fn weighted_rounds_are_pinned() {
-    let results = run_batch_policies(&hotspot(true));
+    let results = run_pinned_policies(&hotspot(true));
     let pins: Vec<_> = results.iter().map(pin).collect();
     assert_eq!(
         pins,
         vec![
+            ("SimpleGreedy", 2434, 0x40bd_055e_68c2_1fdb, 35_671_432_730_161_299),
             ("GR", 2976, 0x40c1_b6fb_0a0e_f072, 10_706_707_879_067_590),
             ("BATCH-MF", 2995, 0x40c1_d39e_3297_ae0d, 3_431_627_286_737_400_019),
             ("BATCH-HUN", 2993, 0x40c1_dbd6_1e07_04ae, 1_324_007_960_362_670_830),
