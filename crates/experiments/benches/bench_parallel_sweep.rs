@@ -35,7 +35,7 @@ fn main() {
     let threads = 4;
 
     let run = |threads: usize| {
-        let opts = SuiteOptions::scalability().with_threads(threads);
+        let opts = SuiteOptions::default().with_threads(threads);
         let start = Stopwatch::start();
         let report = fig5_scalability(object_scale, &opts);
         (start.elapsed().as_secs_f64(), report)

@@ -9,13 +9,20 @@
 //! scalability sweep runs at `--scale / 10` because its paper sizes reach one
 //! million objects per side. Arguments are parsed strictly (see
 //! `experiments::cli`).
+//!
+//! OPT is the exact offline optimum. It stores every feasible pair, and
+//! their number grows with the square of the density: 100k + 100k objects
+//! peaked at 1.04 GB. At the paper's own Figure 5 sizes (`--scale 10`)
+//! pass `--no-opt`.
 
 use experiments::cli;
 use experiments::figures;
 use experiments::runner::SuiteOptions;
 
 const USAGE: &str = "usage: figure5 [--sweep slots|scale|beijing|hangzhou|all] [--scale F] \
-                     [--city-scale-down N] [--no-opt]";
+                     [--city-scale-down N] [--no-opt]\n\
+                     OPT stores every feasible pair (1.04 GB at 100k + 100k); pass --no-opt \
+                     at the paper's sizes (--scale 10).";
 
 fn main() {
     let (sweep, scale, city_scale_down, include_opt) = cli::parse_or_exit(

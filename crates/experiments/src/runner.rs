@@ -13,7 +13,6 @@
 //! is built exactly once (first POLAR-family cell to arrive) and shared
 //! through a [`std::sync::OnceLock`].
 
-use ftoa_core::algorithms::OptMode;
 use ftoa_core::{
     AlgorithmResult, BatchGreedy, BatchHungarian, BatchMaxFlow, IndexBackend, Instance,
     OfflineGuide, Opt, Polar, PolarOp, SimpleGreedy, SimulationEngine, Stopwatch,
@@ -28,8 +27,6 @@ use workload::Scenario;
 pub struct SuiteOptions {
     /// Run the OPT oracle (can be expensive on very large instances).
     pub include_opt: bool,
-    /// How OPT is solved.
-    pub opt_mode: OptMode,
     /// Candidate-index backend used by the simulation engine.
     pub index_backend: IndexBackend,
     /// Concurrency of the (scenario × algorithm) cell fan-out: `1` runs
@@ -42,23 +39,11 @@ pub struct SuiteOptions {
 
 impl Default for SuiteOptions {
     fn default() -> Self {
-        Self {
-            include_opt: true,
-            opt_mode: OptMode::Exact,
-            index_backend: IndexBackend::Grid,
-            threads: 1,
-        }
+        Self { include_opt: true, index_backend: IndexBackend::Grid, threads: 1 }
     }
 }
 
 impl SuiteOptions {
-    /// Options for very large (scalability) instances: OPT is solved on the
-    /// aggregated network, as materialising every feasible edge would not fit
-    /// in memory (the paper likewise omits OPT's time/memory at this scale).
-    pub fn scalability() -> Self {
-        Self { opt_mode: OptMode::TypeAggregated, ..Self::default() }
-    }
-
     /// The same options with a different candidate-index backend.
     pub fn with_backend(self, index_backend: IndexBackend) -> Self {
         Self { index_backend, ..self }
@@ -219,7 +204,7 @@ impl<'a> ReplayConfig<'a> {
     }
 
     /// Replace the whole option block (for the knobs without a dedicated
-    /// builder method, e.g. the GR/batch-flow window or the OPT mode).
+    /// builder method, e.g. whether the canonical suite includes OPT).
     pub fn options(mut self, opts: SuiteOptions) -> Self {
         self.opts = opts;
         self
@@ -284,7 +269,7 @@ pub fn run_matrix(
                 result.preprocessing = *preprocessing;
                 result
             }
-            Algo::Opt => engine.run(&instance, &mut Opt { mode: opts.opt_mode }.policy()),
+            Algo::Opt => engine.run(&instance, &mut Opt.policy()),
             Algo::BatchMaxFlow => engine.run(&instance, &mut BatchMaxFlow::default().policy()),
             Algo::BatchHungarian => engine.run(&instance, &mut BatchHungarian::default().policy()),
         }
@@ -466,18 +451,5 @@ mod tests {
         let results =
             run_suite(&scenario, &SuiteOptions { include_opt: false, ..Default::default() });
         assert_eq!(results.len(), 4);
-    }
-
-    #[test]
-    fn aggregated_opt_is_close_to_exact_opt() {
-        let scenario = small_scenario();
-        let exact = run_suite(&scenario, &SuiteOptions::default());
-        let aggregated = run_suite(&scenario, &SuiteOptions::scalability());
-        let e = exact.last().unwrap().matching_size() as f64;
-        let a = aggregated.last().unwrap().matching_size() as f64;
-        // The aggregation evaluates feasibility at slot midpoints and cell
-        // centres, so it under-counts tight-deadline pairs; it must stay in
-        // the same ballpark and never materially exceed the exact optimum.
-        assert!(a >= 0.55 * e && a <= 1.1 * e, "exact {e} vs aggregated {a}");
     }
 }

@@ -2,26 +2,12 @@
 //!
 //! [`BipartiteGraph`] hides the source/sink plumbing of the flow formulation
 //! used by Algorithm 1 of the paper and returns matchings as plain
-//! `(left, right)` index pairs, which is the shape the guide generator and
-//! the OPT oracle in `ftoa-core` consume.
+//! `(left, right)` index pairs: a maximum matching by Hopcroft–Karp, or a
+//! minimum-cost one by min-cost max-flow. The benchmark's flow probe and the
+//! debug-build check of every batch round use it.
 
-use crate::dinic::dinic;
-use crate::edmonds_karp::edmonds_karp;
-use crate::hopcroft_karp::hopcroft_karp_csr;
+use crate::hopcroft_karp::hopcroft_karp;
 use crate::min_cost::{min_cost_max_flow, McmfNetwork};
-use crate::network::FlowNetwork;
-
-/// Which max-flow engine to use when computing a matching through the flow
-/// formulation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MaxFlowEngine {
-    /// BFS Ford–Fulkerson, as cited in the paper (Algorithm 1, line 10).
-    EdmondsKarp,
-    /// Dinic's algorithm (default for large instances).
-    Dinic,
-    /// Hopcroft–Karp, bypassing the explicit flow network entirely.
-    HopcroftKarp,
-}
 
 /// A matching between the left and right vertex sets of a bipartite graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,18 +121,17 @@ impl BipartiteGraph {
         self.edges.push((l as u32, r as u32, cost));
     }
 
-    /// Compute a maximum-cardinality matching with the requested engine.
-    pub fn max_matching_with(&self, engine: MaxFlowEngine) -> Matching {
-        match engine {
-            MaxFlowEngine::HopcroftKarp => self.matching_hopcroft_karp(),
-            MaxFlowEngine::EdmondsKarp | MaxFlowEngine::Dinic => self.matching_via_flow(engine),
-        }
-    }
-
-    /// Compute a maximum-cardinality matching with the default engine
-    /// (Hopcroft–Karp).
+    /// Compute a maximum-cardinality matching (Hopcroft–Karp).
     pub fn max_matching(&self) -> Matching {
-        self.max_matching_with(MaxFlowEngine::HopcroftKarp)
+        let (first, right) = self.lay_out(|&(_, r, _)| r);
+        let (_size, match_left, _) = hopcroft_karp(self.n_right, &first, &right);
+        let mut m = Matching::empty(self.n_left, self.n_right);
+        for (l, &r) in match_left.iter().enumerate() {
+            if r != u32::MAX {
+                m.push(l, r as usize);
+            }
+        }
+        m
     }
 
     /// Compute a maximum-cardinality matching of minimum total edge cost
@@ -206,48 +191,6 @@ impl BipartiteGraph {
         }
         (first, slots)
     }
-
-    fn matching_hopcroft_karp(&self) -> Matching {
-        let (first, right) = self.lay_out(|&(_, r, _)| r);
-        let (_size, match_left, _) = hopcroft_karp_csr(self.n_right, &first, &right);
-        let mut m = Matching::empty(self.n_left, self.n_right);
-        for (l, &r) in match_left.iter().enumerate() {
-            if r != u32::MAX {
-                m.push(l, r as usize);
-            }
-        }
-        m
-    }
-
-    fn matching_via_flow(&self, engine: MaxFlowEngine) -> Matching {
-        let (first, right) = self.lay_out(|&(_, r, _)| r);
-        let s = 0usize;
-        let left_base = 1usize;
-        let right_base = 1 + self.n_left;
-        let t = 1 + self.n_left + self.n_right;
-        let mut net = FlowNetwork::with_nodes(t + 1);
-        for l in 0..self.n_left {
-            net.add_edge(s, left_base + l, 1);
-        }
-        for r in 0..self.n_right {
-            net.add_edge(right_base + r, t, 1);
-        }
-        let pair_base = self.n_left + self.n_right;
-        for (l, k) in positions(&first) {
-            net.add_edge(left_base + l, right_base + right[k] as usize, 1);
-        }
-        match engine {
-            MaxFlowEngine::EdmondsKarp => edmonds_karp(&mut net, s, t),
-            _ => dinic(&mut net, s, t),
-        };
-        let mut m = Matching::empty(self.n_left, self.n_right);
-        for (l, k) in positions(&first) {
-            if net.flow_on(pair_base + k) > 0 {
-                m.push(l, right[k] as usize);
-            }
-        }
-        m
-    }
 }
 
 /// `(left vertex, position)` of every laid-out edge, in layout order, given
@@ -273,15 +216,12 @@ mod tests {
     #[test]
     fn all_engines_agree_on_cardinality() {
         let g = sample_graph();
-        let hk = g.max_matching_with(MaxFlowEngine::HopcroftKarp);
-        let ek = g.max_matching_with(MaxFlowEngine::EdmondsKarp);
-        let di = g.max_matching_with(MaxFlowEngine::Dinic);
+        let hk = g.max_matching();
+        let mcmf = g.min_cost_max_matching();
         assert_eq!(hk.len(), 3);
-        assert_eq!(ek.len(), 3);
-        assert_eq!(di.len(), 3);
+        assert_eq!(mcmf.len(), 3);
         assert!(hk.is_consistent());
-        assert!(ek.is_consistent());
-        assert!(di.is_consistent());
+        assert!(mcmf.is_consistent());
     }
 
     #[test]
@@ -341,6 +281,5 @@ mod tests {
             }
         }
         assert_eq!(g.max_matching().len(), n);
-        assert_eq!(g.max_matching_with(MaxFlowEngine::Dinic).len(), n);
     }
 }

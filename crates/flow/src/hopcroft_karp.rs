@@ -1,10 +1,11 @@
 //! Hopcroft–Karp maximum bipartite matching.
 //!
 //! Runs in `O(E * sqrt(V))`. OPT solves its offline matching with
-//! [`hopcroft_karp`]; [`crate::BipartiteGraph::max_matching`] runs the same
-//! search for the benchmark's flow probe and for the debug-build check of
-//! every batch round; and both serve as an independent oracle to
-//! cross-check the max-flow based matchings in tests and property tests.
+//! [`hopcroft_karp`] on the CSR graph it lays out itself;
+//! [`crate::BipartiteGraph::max_matching`] runs the same search for the
+//! benchmark's flow probe and for the debug-build check of every batch
+//! round; and both serve as an independent oracle to cross-check the
+//! max-flow based matchings in tests and property tests.
 //!
 //! The solver works on the graph in compressed sparse row form: left vertex
 //! `l`'s neighbours are `right[first[l]..first[l + 1]]`. Match and distance
@@ -13,37 +14,15 @@
 const NIL: u32 = u32::MAX;
 const INF: u32 = u32::MAX;
 
-/// Compute a maximum matching of the bipartite graph with `n_left` left
-/// vertices and `n_right` right vertices, where `adj[l]` lists the right
-/// vertices adjacent to left vertex `l`.
+/// Compute a maximum matching of a bipartite graph in CSR form: `first` has
+/// one offset per left vertex plus the end offset, and `right` holds every
+/// right vertex index (each below `n_right`), so left vertex `l`'s
+/// neighbours are `right[first[l]..first[l + 1]]`.
 ///
-/// Returns `(size, match_left, match_right)` where `match_left[l]` is the
-/// right vertex matched to `l` (or `usize::MAX` if unmatched), and
-/// symmetrically for `match_right`.
-pub fn hopcroft_karp(
-    n_left: usize,
-    n_right: usize,
-    adj: &[Vec<usize>],
-) -> (usize, Vec<usize>, Vec<usize>) {
-    assert_eq!(adj.len(), n_left, "adjacency list must have one entry per left vertex");
-    assert!(adj.iter().flatten().all(|&r| r < n_right), "right index out of range");
-    let mut first = Vec::with_capacity(n_left + 1);
-    first.push(0);
-    let mut right = Vec::new();
-    for nbrs in adj {
-        right.extend(nbrs.iter().map(|&r| r as u32));
-        first.push(right.len());
-    }
-    let (size, match_left, match_right) = hopcroft_karp_csr(n_right, &first, &right);
-    let widen = |m: Vec<u32>| m.into_iter().map(|v| if v == NIL { usize::MAX } else { v as usize });
-    (size, widen(match_left).collect(), widen(match_right).collect())
-}
-
-/// Hopcroft–Karp on a graph in CSR form: `first` has one offset per left
-/// vertex plus the end offset, and `right` holds every right vertex index
-/// (each below `n_right`). Returns `(size, match_left, match_right)`, with
+/// Returns `(size, match_left, match_right)`, where `match_left[l]` is the
+/// right vertex matched to `l` and symmetrically for `match_right`, with
 /// `u32::MAX` marking an unmatched vertex.
-pub(crate) fn hopcroft_karp_csr(
+pub fn hopcroft_karp(
     n_right: usize,
     first: &[usize],
     right: &[u32],
@@ -128,7 +107,7 @@ impl Search<'_> {
 }
 
 /// The adjacency-list implementation the CSR solver replaced, kept as the
-/// oracle it is checked against.
+/// oracle it is checked against. Unmatched vertices are `usize::MAX`.
 #[cfg(test)]
 fn hopcroft_karp_adjacency(
     n_left: usize,
@@ -202,10 +181,26 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Lay `adj` out in CSR form, solve it, and widen the result to the
+    /// oracle's `usize` form.
+    fn solve(n_right: usize, adj: &[Vec<usize>]) -> (usize, Vec<usize>, Vec<usize>) {
+        let mut first = vec![0];
+        let mut right = Vec::new();
+        for nbrs in adj {
+            right.extend(nbrs.iter().map(|&r| r as u32));
+            first.push(right.len());
+        }
+        let (size, match_left, match_right) = hopcroft_karp(n_right, &first, &right);
+        let widen = |m: Vec<u32>| -> Vec<usize> {
+            m.into_iter().map(|v| if v == NIL { usize::MAX } else { v as usize }).collect()
+        };
+        (size, widen(match_left), widen(match_right))
+    }
+
     #[test]
     fn perfect_matching_on_complete_graph() {
         let adj: Vec<Vec<usize>> = (0..4).map(|_| (0..4).collect()).collect();
-        let (size, ml, mr) = hopcroft_karp(4, 4, &adj);
+        let (size, ml, mr) = solve(4, &adj);
         assert_eq!(size, 4);
         // Every left vertex matched, matching is consistent.
         for (l, &r) in ml.iter().enumerate() {
@@ -217,7 +212,7 @@ mod tests {
     #[test]
     fn empty_graph_has_empty_matching() {
         let adj: Vec<Vec<usize>> = vec![vec![]; 3];
-        let (size, ml, _) = hopcroft_karp(3, 2, &adj);
+        let (size, ml, _) = solve(2, &adj);
         assert_eq!(size, 0);
         assert!(ml.iter().all(|&r| r == usize::MAX));
     }
@@ -228,7 +223,7 @@ mod tests {
         // Hopcroft-Karp must find it via an augmenting path.
         // l0: {r0, r1}, l1: {r0}
         let adj = vec![vec![0, 1], vec![0]];
-        let (size, ml, _) = hopcroft_karp(2, 2, &adj);
+        let (size, ml, _) = solve(2, &adj);
         assert_eq!(size, 2);
         assert_eq!(ml[1], 0);
         assert_eq!(ml[0], 1);
@@ -238,14 +233,14 @@ mod tests {
     fn unbalanced_sides() {
         // 5 left vertices all adjacent only to r0.
         let adj = vec![vec![0]; 5];
-        let (size, _, mr) = hopcroft_karp(5, 1, &adj);
+        let (size, _, mr) = solve(1, &adj);
         assert_eq!(size, 1);
         assert_ne!(mr[0], usize::MAX);
     }
 
     #[test]
     fn zero_sized_sides() {
-        let (size, ml, mr) = hopcroft_karp(0, 0, &[]);
+        let (size, ml, mr) = solve(0, &[]);
         assert_eq!(size, 0);
         assert!(ml.is_empty());
         assert!(mr.is_empty());
@@ -256,7 +251,7 @@ mod tests {
         // A 3x3 instance whose maximum matching is 2.
         // l0: {r0}, l1: {r0, r1}, l2: {r1}
         let adj = vec![vec![0], vec![0, 1], vec![1]];
-        let (size, _, _) = hopcroft_karp(3, 3, &adj);
+        let (size, _, _) = solve(3, &adj);
         assert_eq!(size, 2);
     }
 
@@ -276,7 +271,7 @@ mod tests {
             for &(l, r) in &edges {
                 adj[l].push(r);
             }
-            prop_assert_eq!(hopcroft_karp(nl, nr, &adj), hopcroft_karp_adjacency(nl, nr, &adj));
+            prop_assert_eq!(solve(nr, &adj), hopcroft_karp_adjacency(nl, nr, &adj));
         }
     }
 }

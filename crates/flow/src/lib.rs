@@ -4,12 +4,10 @@
 //! predicted per-slot/per-cell counts of workers and tasks as the two sides of
 //! a bipartite graph and computing a maximum-cardinality matching via max-flow
 //! (Ford–Fulkerson in the paper; "any other max-flow algorithm is applicable").
-//! The offline optimum `OPT` used as the evaluation yardstick is computed the
-//! same way over the *actual* arrivals. The proof of Lemma 2 additionally uses
-//! the canonical min-cut extracted from the residual network.
+//! The offline optimum `OPT` used as the evaluation yardstick is a maximum
+//! matching over the *actual* arrivals, which Hopcroft–Karp finds directly.
 //!
-//! This crate provides all of those building blocks, implemented from
-//! scratch:
+//! This crate provides those building blocks, implemented from scratch:
 //!
 //! * [`FlowNetwork`] — a residual flow network with integer capacities,
 //!   stored in compressed sparse row form: the arcs leaving a node are
@@ -19,10 +17,9 @@
 //!   twin's residual, so no copy of the original capacities is kept. Edges
 //!   are appended to a pending list (16 bytes each) and laid out in one
 //!   counting-sort pass when a solver runs.
+//! * [`dinic`][mod@dinic] — the max-flow the guide runs.
 //! * [`edmonds_karp`][mod@edmonds_karp] — BFS-based Ford–Fulkerson (the paper's reference
-//!   implementation).
-//! * [`dinic`][mod@dinic] — the asymptotically faster algorithm used by default for the
-//!   large guide/OPT instances.
+//!   implementation), kept as the oracle Dinic is tested against.
 //! * [`hopcroft_karp`][mod@hopcroft_karp] — a dedicated maximum bipartite matching algorithm:
 //!   OPT's solver, the solver of [`BipartiteGraph::max_matching`], and an
 //!   independent cross-check in tests. It runs on a CSR graph with `u32`
@@ -36,7 +33,6 @@
 //!   [`McmfNetwork`][min_cost::McmfNetwork], only records its edges; a
 //!   solve lays them out in CSR form, in add order per node, and reuses its
 //!   search buffers across augmenting paths.
-//! * [`min_cut_from_residual`] — the reachability cut of the residual network.
 //! * [`BipartiteGraph`] — a convenience wrapper that hides the source/sink
 //!   plumbing and returns matchings as `(left, right)` index pairs. It
 //!   stores edges as added, 16 bytes each, and lays them out per left vertex
@@ -50,13 +46,11 @@ pub mod dinic;
 pub mod edmonds_karp;
 pub mod hopcroft_karp;
 pub mod min_cost;
-pub mod min_cut;
 pub mod network;
 
-pub use bipartite::{BipartiteGraph, Matching, MaxFlowEngine};
+pub use bipartite::{BipartiteGraph, Matching};
 pub use dinic::dinic;
 pub use edmonds_karp::edmonds_karp;
 pub use hopcroft_karp::hopcroft_karp;
 pub use min_cost::{min_cost_max_flow, McmfResult};
-pub use min_cut::{min_cut_from_residual, MinCut};
 pub use network::{EdgeId, FlowNetwork, NodeId};

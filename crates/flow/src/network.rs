@@ -43,12 +43,6 @@ pub struct FlowNetwork {
     pending: Vec<(u32, u32, i64)>,
 }
 
-impl Default for FlowNetwork {
-    fn default() -> Self {
-        Self::with_nodes(0)
-    }
-}
-
 impl FlowNetwork {
     /// Create a network with `n` nodes and no edges.
     pub fn with_nodes(n: usize) -> Self {
@@ -61,18 +55,6 @@ impl FlowNetwork {
             edge_arc: Vec::new(),
             pending: Vec::new(),
         }
-    }
-
-    /// Create an empty network.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a new node, returning its id.
-    pub fn add_node(&mut self) -> NodeId {
-        assert!(self.num_nodes() < u32::MAX as usize, "too many nodes");
-        self.first.push(self.head.len());
-        self.num_nodes() - 1
     }
 
     /// Number of nodes.
@@ -105,11 +87,6 @@ impl FlowNetwork {
             Some(a) => self.cap[self.twin[a] as usize],
             None => 0,
         }
-    }
-
-    /// Remaining capacity of an edge in its forward direction.
-    pub fn residual_capacity(&self, e: EdgeId) -> i64 {
-        self.original_capacity(e) - self.flow_on(e)
     }
 
     /// Original capacity of an edge.
@@ -204,11 +181,6 @@ impl FlowNetwork {
         self.cap[t] += amount;
     }
 
-    /// Has every edge been laid out into the arc arrays?
-    pub(crate) fn is_laid_out(&self) -> bool {
-        self.pending.is_empty()
-    }
-
     fn laid_out_arc(&self, e: EdgeId) -> Option<ArcId> {
         assert!(e < self.num_edges(), "edge id out of range");
         self.edge_arc.get(e).map(|&a| a as usize)
@@ -285,7 +257,7 @@ mod tests {
         let mut g = FlowNetwork::with_nodes(2);
         let e = g.add_edge(0, 1, 5);
         assert_eq!(e, 0);
-        assert_eq!(g.residual_capacity(e), 5);
+        assert_eq!(g.original_capacity(e), 5);
         assert_eq!(g.edge_endpoints(e), (0, 1));
         assert_eq!(g.num_edges(), 1);
         assert_eq!(g.num_nodes(), 2);
@@ -295,7 +267,7 @@ mod tests {
         assert_eq!((g.arc_residual(a), g.arc_residual(t)), (5, 0));
         assert_eq!((g.arc_head(a), g.arc_head(t)), (1, 0));
         assert_eq!(g.arc_twin(t), a);
-        assert_eq!(g.residual_capacity(e), 5);
+        assert_eq!((g.original_capacity(e), g.flow_on(e)), (5, 0));
         assert_eq!(g.edge_endpoints(e), (0, 1));
     }
 
@@ -306,27 +278,12 @@ mod tests {
         g.lay_out();
         let a = g.arcs(0).start;
         g.push(a, 3);
-        assert_eq!(g.residual_capacity(e), 2);
+        assert_eq!(g.arc_residual(a), 2);
         assert_eq!(g.arc_residual(g.arc_twin(a)), 3);
         assert_eq!(g.flow_on(e), 3);
         g.reset_flow();
         assert_eq!(g.flow_on(e), 0);
-        assert_eq!(g.residual_capacity(e), 5);
-    }
-
-    #[test]
-    fn add_node_grows_graph() {
-        let mut g = FlowNetwork::new();
-        let a = g.add_node();
-        let b = g.add_node();
-        assert_eq!((a, b), (0, 1));
-        g.add_edge(a, b, 1);
-        g.lay_out();
-        assert_eq!(g.arcs(a).len(), 1);
-        assert_eq!(g.arcs(b).len(), 1); // residual twin
-        let c = g.add_node();
-        assert_eq!(c, 2);
-        assert!(g.arcs(c).is_empty());
+        assert_eq!(g.arc_residual(a), 5);
     }
 
     #[test]

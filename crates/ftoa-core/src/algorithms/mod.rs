@@ -9,7 +9,7 @@ pub mod simple_greedy;
 
 pub use batch_flow::{BatchHungarian, BatchMaxFlow};
 pub use batch_greedy::BatchGreedy;
-pub use opt::{Opt, OptMode};
+pub use opt::Opt;
 pub use polar::Polar;
 pub use polar_op::PolarOp;
 pub use simple_greedy::SimpleGreedy;

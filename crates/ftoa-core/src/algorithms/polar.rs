@@ -250,7 +250,7 @@ mod tests {
         let instance = Instance::new(&config, &stream, &pw, &pt);
         let polar = Polar::default().run(&instance).matching_size();
         let greedy = SimpleGreedy.run(&instance).matching_size();
-        let opt = Opt::exact().run(&instance).matching_size();
+        let opt = Opt.run(&instance).matching_size();
         assert!(polar > greedy);
         assert!(polar <= opt);
     }

@@ -292,7 +292,7 @@ mod tests {
         let instance = Instance::new(&config, &stream, &pw, &pt);
         let polar = Polar::default().run(&instance).matching_size();
         let polar_op = PolarOp::default().run(&instance).matching_size();
-        let opt = Opt::exact().run(&instance).matching_size();
+        let opt = Opt.run(&instance).matching_size();
         let greedy = SimpleGreedy.run(&instance).matching_size();
         assert!(polar_op >= polar, "POLAR-OP {polar_op} < POLAR {polar}");
         assert!(polar_op <= opt);

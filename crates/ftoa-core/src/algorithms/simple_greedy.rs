@@ -30,17 +30,11 @@ impl SimpleGreedy {
 /// Per-event decision logic of SimpleGreedy.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GreedyPolicy {
-    /// Largest task patience seen in the stream (computed lazily): bounds
-    /// the reachable disk of worker-arrival queries, since every pending
-    /// task was released no later than `now` and therefore expires within
-    /// `max_patience` of it.
-    max_patience: Option<ftoa_types::TimeDelta>,
-}
-
-impl GreedyPolicy {
-    fn max_patience(&mut self, ctx: &EngineContext<'_>) -> ftoa_types::TimeDelta {
-        *self.max_patience.get_or_insert_with(|| ctx.stream.max_task_patience())
-    }
+    /// Largest patience among the tasks that have arrived: bounds the
+    /// reachable disk of worker-arrival queries, since every pending task
+    /// has arrived, was released no later than `now` and therefore expires
+    /// within `max_patience` of it.
+    max_patience: ftoa_types::TimeDelta,
 }
 
 impl OnlinePolicy for GreedyPolicy {
@@ -56,7 +50,7 @@ impl OnlinePolicy for GreedyPolicy {
         // feasible pending task lies within `v · max_patience` of the worker
         // (its deadline is at most `now + max_patience`), so the search is
         // bounded to that disk.
-        let radius = velocity * self.max_patience(ctx).as_minutes();
+        let radius = velocity * self.max_patience.as_minutes();
         let found = if now < w.deadline() {
             let origin = w.location;
             ctx.pending_tasks().nearest_within(&origin, radius, &mut |task| {
@@ -74,6 +68,7 @@ impl OnlinePolicy for GreedyPolicy {
     }
 
     fn on_task_arrival(&mut self, ctx: &mut EngineContext<'_>, r: &Task) {
+        self.max_patience = self.max_patience.max(r.patience);
         let now = ctx.now();
         let velocity = ctx.velocity();
         // A serving worker must depart now and arrive by the task deadline:

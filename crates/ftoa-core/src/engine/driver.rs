@@ -34,9 +34,7 @@ pub trait OnlinePolicy {
     /// handing over the event at `now`. The default (`now`) removes
     /// everything whose deadline has strictly passed. Batched policies
     /// return their last unprocessed batch boundary so objects that were
-    /// still alive *at the batch instant* remain visible to the flush;
-    /// offline policies return [`TimeStamp::ZERO`] to keep every object
-    /// until `on_finish`.
+    /// still alive *at the batch instant* remain visible to the flush.
     fn expiry_cutoff(&self, now: TimeStamp) -> TimeStamp {
         now
     }

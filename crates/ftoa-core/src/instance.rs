@@ -39,12 +39,4 @@ impl<'a> Instance<'a> {
     pub fn num_tasks(&self) -> usize {
         self.stream.num_tasks()
     }
-
-    /// The largest task patience `D_r` in the stream. Together with a
-    /// worker's waiting time this bounds the worker's *reachable disk*
-    /// (`ftoa_types::Worker::reach_radius`), which is what index-backed
-    /// candidate search prunes with.
-    pub fn max_task_patience(&self) -> ftoa_types::TimeDelta {
-        self.stream.max_task_patience()
-    }
 }

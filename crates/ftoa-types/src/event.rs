@@ -148,14 +148,6 @@ impl EventStream {
         self.order.last().map(|e| e.time())
     }
 
-    /// The largest task patience `D_r` in the stream (zero when there are no
-    /// tasks). Together with a worker's waiting time this bounds the
-    /// worker's *reachable disk* ([`Worker::reach_radius`]), the radius
-    /// candidate indexes prune their searches with.
-    pub fn max_task_patience(&self) -> crate::time::TimeDelta {
-        self.tasks.iter().map(|t| t.patience).fold(crate::time::TimeDelta::ZERO, |a, b| a.max(b))
-    }
-
     /// Is the stream empty?
     pub fn is_empty(&self) -> bool {
         self.order.is_empty()

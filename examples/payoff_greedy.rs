@@ -22,15 +22,9 @@ use ftoa::workload::SyntheticConfig;
 /// task falls back to the nearest idle worker that can serve it.
 #[derive(Default)]
 struct PayoffGreedyPolicy {
-    /// Largest task patience in the stream, bounding the reachable disk of
-    /// worker-arrival queries exactly as SimpleGreedy does.
-    max_patience: Option<TimeDelta>,
-}
-
-impl PayoffGreedyPolicy {
-    fn max_patience(&mut self, ctx: &EngineContext<'_>) -> TimeDelta {
-        *self.max_patience.get_or_insert_with(|| ctx.stream.max_task_patience())
-    }
+    /// Largest patience among the tasks that have arrived, bounding the
+    /// reachable disk of worker-arrival queries exactly as SimpleGreedy does.
+    max_patience: TimeDelta,
 }
 
 impl OnlinePolicy for PayoffGreedyPolicy {
@@ -41,7 +35,7 @@ impl OnlinePolicy for PayoffGreedyPolicy {
     fn on_worker_arrival(&mut self, ctx: &mut EngineContext<'_>, w: &Worker) {
         let now = ctx.now();
         let velocity = ctx.velocity();
-        let radius = velocity * self.max_patience(ctx).as_minutes();
+        let radius = velocity * self.max_patience.as_minutes();
         let mut best: Option<(Candidate, f64)> = None;
         if now < w.deadline() {
             let origin = w.location;
@@ -69,6 +63,7 @@ impl OnlinePolicy for PayoffGreedyPolicy {
     }
 
     fn on_task_arrival(&mut self, ctx: &mut EngineContext<'_>, r: &Task) {
+        self.max_patience = self.max_patience.max(r.patience);
         let now = ctx.now();
         let velocity = ctx.velocity();
         let radius = r.reach_radius_at(now, velocity);

@@ -40,7 +40,7 @@ fn main() {
             &scenario.predicted_workers,
             &scenario.predicted_tasks,
         );
-        Opt::exact().run(&instance).matching_size()
+        Opt.run(&instance).matching_size()
     };
 
     for predictor in all_predictors() {

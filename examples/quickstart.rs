@@ -44,7 +44,7 @@ fn main() {
     );
 
     // Step 2 (online): run every algorithm on the arrival stream.
-    let opt = Opt::exact().run(&instance);
+    let opt = Opt.run(&instance);
     let algorithms: Vec<(String, ftoa::core_algorithms::AlgorithmResult)> = vec![
         ("SimpleGreedy".into(), SimpleGreedy.run(&instance)),
         ("GR".into(), BatchGreedy::default().run(&instance)),

@@ -55,7 +55,7 @@ fn main() {
     );
     let polar_op = PolarOp::default().run_with_guide(&instance, &guide);
     let greedy = SimpleGreedy.run(&instance);
-    let opt = Opt::exact().run(&instance);
+    let opt = Opt.run(&instance);
 
     println!("\nOnline dispatch on the test day:");
     println!(

@@ -1,5 +1,5 @@
-//! Pins SimpleGreedy and the three batch policies bit for bit: GR, BATCH-MF
-//! and BATCH-HUN on a `hotspot`-shaped stream (demand packed next to
+//! Pins SimpleGreedy, the three batch policies and OPT bit for bit: GR,
+//! BATCH-MF and BATCH-HUN on a `hotspot`-shaped stream (demand packed next to
 //! supply), with unit values and with payoffs and capacities. Each pin is
 //! the matching size, the bits of `total_payoff` and an FNV-1a checksum over
 //! every assignment in commit order. A round's size and payoff are fixed by
@@ -10,9 +10,14 @@
 //! commits them, shows up here. SimpleGreedy's pin covers the index's
 //! nearest query instead: every arrival takes the nearest feasible partner,
 //! so a change to which of two equidistant candidates the grid returns, or
-//! to what its ring walk finds, shows up in the checksum. These test
-//! binaries are debug builds, so every round they run is also checked
-//! against Hopcroft–Karp and min-cost flow.
+//! to what its ring walk finds, shows up in the checksum. OPT's pin covers
+//! its pair enumeration: Hopcroft–Karp's matching depends on the exact set
+//! of feasible pairs and on each worker's tasks being in ascending order, so
+//! a pair missed, found twice or handed over in another order shows up in
+//! the checksum, as does a change to the commit order (worker order, at
+//! time zero). OPT ignores capacities and payoffs, so both streams give the
+//! same pairs. These test binaries are debug builds, so every round they
+//! run is also checked against Hopcroft–Karp and min-cost flow.
 
 use ftoa::core_algorithms::AlgorithmResult;
 use ftoa::experiments::{Algo, ReplayConfig};
@@ -65,7 +70,7 @@ fn hotspot(weighted: bool) -> Scenario {
 
 fn run_pinned_policies(scenario: &Scenario) -> Vec<AlgorithmResult> {
     ReplayConfig::new(scenario)
-        .algos(&[Algo::SimpleGreedy, Algo::Gr, Algo::BatchMaxFlow, Algo::BatchHungarian])
+        .algos(&[Algo::SimpleGreedy, Algo::Gr, Algo::BatchMaxFlow, Algo::BatchHungarian, Algo::Opt])
         .threads(1)
         .run()
 }
@@ -82,6 +87,7 @@ fn unit_value_rounds_are_pinned() {
             ("GR", 2608, unit, 7_042_771_056_788_252_976),
             ("BATCH-MF", 2608, unit, 7_042_771_056_788_252_976),
             ("BATCH-HUN", 2608, unit, 7_042_771_056_788_252_976),
+            ("OPT", 2643, 2643f64.to_bits(), 8_828_231_921_283_779_785),
         ]
     );
 }
@@ -97,6 +103,7 @@ fn weighted_rounds_are_pinned() {
             ("GR", 2976, 0x40c1_b6fb_0a0e_f072, 10_706_707_879_067_590),
             ("BATCH-MF", 2995, 0x40c1_d39e_3297_ae0d, 3_431_627_286_737_400_019),
             ("BATCH-HUN", 2993, 0x40c1_dbd6_1e07_04ae, 1_324_007_960_362_670_830),
+            ("OPT", 2643, 0x40bf_6a37_fd77_3e9e, 8_828_231_921_283_779_785),
         ]
     );
 }

@@ -84,7 +84,7 @@ fn running_example_reproduces_the_papers_ordering() {
     let gr = BatchGreedy::default().run(&instance);
     let polar = Polar::default().run(&instance);
     let polar_op = PolarOp::default().run(&instance);
-    let opt = Opt::exact().run(&instance);
+    let opt = Opt.run(&instance);
 
     assert_eq!(greedy.matching_size(), 2, "Example 2: wait-in-place greedy serves 2");
     assert_eq!(polar.matching_size(), 4, "Example 5: POLAR serves 4");
@@ -124,7 +124,7 @@ fn empirical_competitive_ratios_exceed_the_theory_bounds_on_the_example() {
     let stream = example_stream();
     let (pw, pt) = counts(&config, &stream);
     let instance = Instance::new(&config, &stream, &pw, &pt);
-    let opt = Opt::exact().run(&instance);
+    let opt = Opt.run(&instance);
     let polar = Polar::default().run(&instance);
     let polar_op = PolarOp::default().run(&instance);
     // The guarantees are 0.40 (POLAR) and 0.47 (POLAR-OP) in expectation; a

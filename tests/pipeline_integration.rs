@@ -1,7 +1,6 @@
 //! Cross-crate integration tests: workload generation → prediction → guide →
 //! online algorithms → reports, through the public facade.
 
-use ftoa::core_algorithms::algorithms::OptMode;
 use ftoa::experiments::runner::{run_suite, SuiteOptions};
 use ftoa::experiments::table5::Table5;
 use ftoa::prediction::{error_rate, HistoricalAverage, HpMsi, Predictor, Quantity};
@@ -64,19 +63,6 @@ fn city_pipeline_with_learned_prediction() {
             )
             .unwrap_or_else(|e| panic!("{}: {e}", r.algorithm));
     }
-}
-
-#[test]
-fn aggregated_opt_tracks_exact_opt_on_moderate_instances() {
-    let scenario = small_synthetic();
-    let exact = run_suite(&scenario, &SuiteOptions::default());
-    let aggregated = run_suite(
-        &scenario,
-        &SuiteOptions { opt_mode: OptMode::TypeAggregated, ..SuiteOptions::default() },
-    );
-    let e = exact.last().unwrap().matching_size() as f64;
-    let a = aggregated.last().unwrap().matching_size() as f64;
-    assert!(a >= 0.55 * e && a <= 1.1 * e, "exact {e} vs aggregated {a}");
 }
 
 #[test]

@@ -127,7 +127,13 @@ fn offline_round(
 
 /// The size of a maximum matching of the round (Hopcroft–Karp).
 fn max_matching_size(tasks: &[Task], adj: &[Vec<usize>]) -> usize {
-    ftoa::flow::hopcroft_karp(adj.len(), tasks.len(), adj).0
+    let mut first = vec![0];
+    let mut right = Vec::new();
+    for row in adj {
+        right.extend(row.iter().map(|&ri| ri as u32));
+        first.push(right.len());
+    }
+    ftoa::flow::hopcroft_karp(tasks.len(), &first, &right).0
 }
 
 /// The highest payoff of a maximum matching of the round: min-cost

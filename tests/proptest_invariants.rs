@@ -1,10 +1,13 @@
 //! Property-based invariants across the whole pipeline: for arbitrary small
-//! instances, every algorithm must produce a valid matching bounded by OPT,
-//! and the guide construction must respect the predicted counts.
+//! instances, OPT must be the maximum matching over every flexible pair,
+//! every algorithm must produce a valid matching bounded by OPT, and the
+//! guide construction must respect the predicted counts.
 
 use ftoa::core_algorithms::{
-    BatchGreedy, Instance, OfflineGuide, OnlineAlgorithm, Opt, Polar, PolarOp, SimpleGreedy,
+    BatchGreedy, IndexBackend, Instance, OfflineGuide, OnlineAlgorithm, Opt, Polar, PolarOp,
+    SimpleGreedy, SimulationEngine,
 };
+use ftoa::flow::{hopcroft_karp, BipartiteGraph};
 use ftoa::prediction::SpatioTemporalMatrix;
 use ftoa::types::{
     EventStream, GridPartition, Location, ProblemConfig, SlotPartition, Task, TaskId, TimeDelta,
@@ -75,6 +78,104 @@ fn build_instance(
     (stream, pw, pt)
 }
 
+/// Strategy: `(x, y, t, d)` objects on lattices that make exact ties
+/// common: integer coordinates in a 10 × 10 square, so distances land
+/// exactly on radii; arrival times on a 0.5-minute lattice, so workers and
+/// tasks share instants; and a wait or patience `d` of 0 to 20 minutes in
+/// half-minute steps, zero included.
+fn lattice_objects(max: usize) -> impl Strategy<Value = Vec<(f64, f64, f64, f64)>> {
+    proptest::collection::vec((0usize..11, 0usize..11, 0usize..60, 0usize..41), 0..max).prop_map(
+        |raw| {
+            raw.into_iter()
+                .map(|(x, y, t, d)| (x as f64, y as f64, t as f64 * 0.5, d as f64 * 0.5))
+                .collect()
+        },
+    )
+}
+
+/// Definition 4's flexible feasibility, written out from the fields: the
+/// task appears before the worker leaves, and the worker, departing from
+/// where it appeared as soon as it appears, reaches the task by its
+/// deadline.
+fn flexible_feasible(w: &Worker, r: &Task, velocity: f64) -> bool {
+    let (dx, dy) = (w.location.x - r.location.x, w.location.y - r.location.y);
+    let travel = (dx * dx + dy * dy).sqrt() / velocity;
+    let start = w.start.as_minutes();
+    let release = r.release.as_minutes();
+    release < start + w.wait.as_minutes() && start + travel <= release + r.patience.as_minutes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// OPT finds every flexible pair once, whichever side arrives first and
+    /// whatever the waits: on every backend its size is the maximum matching
+    /// of all `W × R` feasible pairs (by min-cost flow, a solver OPT does not
+    /// use), its pairs are Hopcroft–Karp's on those pairs with each worker's
+    /// tasks ascending, and they pass the flexible validation.
+    #[test]
+    fn opt_is_the_maximum_matching_over_every_flexible_pair(
+        workers_raw in lattice_objects(20),
+        tasks_raw in lattice_objects(20),
+    ) {
+        let config = config();
+        let workers: Vec<Worker> = workers_raw
+            .iter()
+            .map(|&(x, y, t, d)| {
+                let (at, wait) = (TimeStamp::minutes(t), TimeDelta::minutes(d));
+                Worker::new(WorkerId(0), Location::new(x, y), at, wait)
+            })
+            .collect();
+        let tasks: Vec<Task> = tasks_raw
+            .iter()
+            .map(|&(x, y, t, d)| {
+                let (at, patience) = (TimeStamp::minutes(t), TimeDelta::minutes(d));
+                Task::new(TaskId(0), Location::new(x, y), at, patience)
+            })
+            .collect();
+        let stream = EventStream::new(workers, tasks);
+        let (n_workers, n_tasks) = (stream.num_workers(), stream.num_tasks());
+
+        let mut graph = BipartiteGraph::new(n_workers, n_tasks);
+        let (mut first, mut right) = (vec![0], Vec::new());
+        for (wi, w) in stream.workers().iter().enumerate() {
+            for (ri, r) in stream.tasks().iter().enumerate() {
+                if flexible_feasible(w, r, config.velocity) {
+                    graph.add_edge(wi, ri);
+                    right.push(ri as u32);
+                }
+            }
+            first.push(right.len());
+        }
+        let maximum = graph.min_cost_max_matching().len();
+        let (_, match_left, _) = hopcroft_karp(n_tasks, &first, &right);
+        let expected: Vec<(usize, usize)> = match_left
+            .iter()
+            .enumerate()
+            .filter(|&(_, &ri)| ri != u32::MAX)
+            .map(|(wi, &ri)| (wi, ri as usize))
+            .collect();
+
+        let zeros = SpatioTemporalMatrix::zeros(config.slots.num_slots(), config.grid.num_cells());
+        let instance = Instance::new(&config, &stream, &zeros, &zeros);
+        for backend in IndexBackend::ALL {
+            let opt = SimulationEngine::new(backend).run(&instance, &mut Opt.policy());
+            prop_assert_eq!(opt.matching_size(), maximum, "{}", backend.name());
+            let pairs: Vec<(usize, usize)> = opt
+                .assignments
+                .pairs()
+                .iter()
+                .map(|a| (a.worker.index(), a.task.index()))
+                .collect();
+            prop_assert_eq!(&pairs, &expected, "{}", backend.name());
+            prop_assert!(opt
+                .assignments
+                .validate_flexible(stream.workers(), stream.tasks(), config.velocity)
+                .is_ok());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -88,7 +189,7 @@ proptest! {
         let config = config();
         let (stream, pw, pt) = build_instance(&config, &workers_raw, &tasks_raw);
         let instance = Instance::new(&config, &stream, &pw, &pt);
-        let opt = Opt::exact().run(&instance);
+        let opt = Opt.run(&instance);
         prop_assert!(opt.matching_size() <= stream.num_workers().min(stream.num_tasks()));
         let algorithms: Vec<Box<dyn OnlineAlgorithm>> = vec![
             Box::new(SimpleGreedy),
@@ -157,7 +258,7 @@ proptest! {
         let config = config();
         let (stream, pw, pt) = build_instance(&config, &workers_raw, &tasks_raw);
         let instance = Instance::new(&config, &stream, &pw, &pt);
-        let opt = Opt::exact().run(&instance);
+        let opt = Opt.run(&instance);
         prop_assume!(opt.matching_size() >= 5);
         let polar_op = PolarOp::default().run(&instance);
         prop_assert!(
